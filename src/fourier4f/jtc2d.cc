@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/logging.hh"
+#include "jtc/jtc_system.hh"
 #include "signal/fft2d_plan.hh"
 
 namespace photofourier {
@@ -23,24 +24,8 @@ Jtc2dLayout
 Jtc2dLayout::design(size_t signal_rows, size_t signal_cols,
                     size_t kernel_rows, size_t kernel_cols)
 {
-    pf_assert(signal_rows > 0 && kernel_rows > 0, "empty JTC inputs");
-    Jtc2dLayout layout;
-    layout.signal_rows = signal_rows;
-    layout.signal_cols = signal_cols;
-    layout.kernel_rows = kernel_rows;
-    layout.kernel_cols = kernel_cols;
-
-    // Vertical separation mirrors the 1D design: the cross term's
-    // first row lag must clear the central term.
-    const size_t longest = std::max(signal_rows, kernel_rows);
-    layout.kernel_row_pos = longest + signal_rows - 1;
-    layout.plane_rows = signal::nextPowerOfTwo(
-        2 * layout.kernel_row_pos + 2 * kernel_rows);
-    // Columns only need to avoid circular aliasing of the correlation
-    // support (both blocks share the column origin).
-    layout.plane_cols =
-        signal::nextPowerOfTwo(signal_cols + kernel_cols);
-    return layout;
+    return designBatch(signal_rows, signal_cols, kernel_rows, kernel_cols,
+                       1);
 }
 
 Jtc2dLayout
@@ -48,34 +33,23 @@ Jtc2dLayout::designBatch(size_t signal_rows, size_t signal_cols,
                          size_t kernel_rows, size_t kernel_cols,
                          size_t kernel_count)
 {
-    pf_assert(kernel_count >= 1, "designBatch with no kernels");
-    // A batch of one IS the solo layout: bit-identical readout, same
-    // cached block spectrum.
-    if (kernel_count == 1)
-        return design(signal_rows, signal_cols, kernel_rows,
-                      kernel_cols);
-    pf_assert(signal_rows > 0 && kernel_rows > 0, "empty JTC inputs");
+    // The row axis carries every guard band: it is the 1D joint plane
+    // with Ls -> Sr and Lk -> Kr, so one axis design serves both (a
+    // batch of one is the classic separation).
+    const jtc::JtcPlaneLayout row_axis =
+        jtc::JtcPlaneLayout::designBatch(signal_rows, kernel_rows,
+                                         kernel_count);
     Jtc2dLayout layout;
     layout.signal_rows = signal_rows;
     layout.signal_cols = signal_cols;
     layout.kernel_rows = kernel_rows;
     layout.kernel_cols = kernel_cols;
-    layout.kernel_count = kernel_count;
-
-    // Row-axis guard bands, exactly the 1D batch design with
-    // Ls -> Sr and Lk -> Kr (see JtcPlaneLayout::designBatch).
-    const size_t longest = std::max(signal_rows, kernel_rows);
-    layout.kernel_row_step = signal_rows + 3 * kernel_rows - 2;
-    const size_t base = signal_rows + kernel_rows - 1;
-    const size_t need =
-        longest > kernel_rows ? longest - kernel_rows : 0;
-    const size_t lift =
-        (need + layout.kernel_row_step - 1) / layout.kernel_row_step;
-    layout.kernel_row_pos = base + lift * layout.kernel_row_step;
-    const size_t q_last = layout.kernel_row_pos +
-                          (kernel_count - 1) * layout.kernel_row_step;
-    layout.plane_rows =
-        signal::nextPowerOfTwo(2 * q_last + 2 * kernel_rows);
+    layout.kernel_row_pos = row_axis.kernel_pos;
+    layout.plane_rows = row_axis.plane_size;
+    layout.kernel_count = row_axis.kernel_count;
+    layout.kernel_row_step = row_axis.kernel_step;
+    // Columns only need to avoid circular aliasing of the correlation
+    // support (all blocks share the column origin).
     layout.plane_cols =
         signal::nextPowerOfTwo(signal_cols + kernel_cols);
     return layout;
@@ -89,49 +63,13 @@ Jtc2d::Jtc2d(std::shared_ptr<signal::PlaneSpectrumCache> spectra)
 }
 
 std::shared_ptr<const signal::ComplexVector>
-Jtc2d::kernelPlaneSpectrum(const signal::Matrix &k,
-                           const Jtc2dLayout &layout) const
-{
-    // Salt: plane geometry, block placement, and the kernel's column
-    // count (the payload bytes alone do not encode the block shape).
-    uint64_t salt = signal::planeSpectrumSalt(layout.plane_rows);
-    salt = signal::planeSpectrumSalt(layout.plane_cols, salt);
-    salt = signal::planeSpectrumSalt(layout.kernel_row_pos, salt);
-    salt = signal::planeSpectrumSalt(k.cols, salt);
-
-    struct Ctx
-    {
-        const signal::Matrix *k;
-        const Jtc2dLayout *layout;
-    } ctx{&k, &layout};
-    const size_t hc = layout.plane_cols / 2 + 1;
-    return spectra_->spectrum(
-        salt, k.data, layout.plane_rows * hc,
-        [&ctx](signal::ComplexVector &out) {
-            const size_t rows = ctx.layout->plane_rows;
-            const size_t cols = ctx.layout->plane_cols;
-            const auto plan = signal::fft2dPlanFor(rows, cols);
-            std::vector<double> &padded =
-                signal::threadFftWorkspace().realBuffer(kSlotJtc2dPad,
-                                                        rows * cols);
-            std::fill(padded.begin(), padded.end(), 0.0);
-            const signal::Matrix &kern = *ctx.k;
-            for (size_t r = 0; r < kern.rows; ++r)
-                std::copy(kern.data.begin() + r * kern.cols,
-                          kern.data.begin() + (r + 1) * kern.cols,
-                          padded.begin() +
-                              (ctx.layout->kernel_row_pos + r) * cols);
-            plan->forwardReal(padded.data(), out.data());
-        });
-}
-
-std::shared_ptr<const signal::ComplexVector>
-Jtc2d::kernelBankSpectrum(const std::vector<signal::Matrix> &kernels,
+Jtc2d::kernelBankSpectrum(std::span<const signal::Matrix> kernels,
                           const Jtc2dLayout &layout) const
 {
     // One entry for the whole tiled bank: the salt pins the tiling
-    // geometry, the payload is the concatenated kernel bytes, and the
-    // lens linearity folds every block into one summed spectrum.
+    // geometry and the block shape (the payload bytes alone do not
+    // encode it), the payload is the concatenated kernel bytes, and
+    // the lens linearity folds every block into one summed spectrum.
     uint64_t salt = signal::planeSpectrumSalt(layout.plane_rows);
     salt = signal::planeSpectrumSalt(layout.plane_cols, salt);
     salt = signal::planeSpectrumSalt(layout.kernel_row_pos, salt);
@@ -139,21 +77,15 @@ Jtc2d::kernelBankSpectrum(const std::vector<signal::Matrix> &kernels,
     salt = signal::planeSpectrumSalt(layout.kernel_count, salt);
     salt = signal::planeSpectrumSalt(kernels[0].cols, salt);
 
-    static thread_local std::vector<double> bank_payload;
-    bank_payload.clear();
-    for (const auto &k : kernels)
-        bank_payload.insert(bank_payload.end(), k.data.begin(),
-                            k.data.end());
-
     struct Ctx
     {
-        const std::vector<signal::Matrix> *kernels;
+        std::span<const signal::Matrix> kernels;
         const Jtc2dLayout *layout;
-    } ctx{&kernels, &layout};
+    } ctx{kernels, &layout};
     const size_t hc = layout.plane_cols / 2 + 1;
     return spectra_->spectrum(
-        salt, bank_payload, layout.plane_rows * hc,
-        [&ctx](signal::ComplexVector &out) {
+        salt, signal::bankPayload(kernels, &signal::Matrix::data),
+        layout.plane_rows * hc, [&ctx](signal::ComplexVector &out) {
             const size_t rows = ctx.layout->plane_rows;
             const size_t cols = ctx.layout->plane_cols;
             const auto plan = signal::fft2dPlanFor(rows, cols);
@@ -161,44 +93,35 @@ Jtc2d::kernelBankSpectrum(const std::vector<signal::Matrix> &kernels,
                 signal::threadFftWorkspace().realBuffer(kSlotJtc2dPad,
                                                         rows * cols);
             std::fill(padded.begin(), padded.end(), 0.0);
-            for (size_t j = 0; j < ctx.kernels->size(); ++j) {
-                const signal::Matrix &kern = (*ctx.kernels)[j];
+            for (size_t j = 0; j < ctx.kernels.size(); ++j) {
+                const signal::Matrix &kern = ctx.kernels[j];
                 const size_t row0 =
                     ctx.layout->kernel_row_pos +
                     j * ctx.layout->kernel_row_step;
                 for (size_t r = 0; r < kern.rows; ++r)
-                    for (size_t c = 0; c < kern.cols; ++c)
-                        padded[(row0 + r) * cols + c] +=
-                            kern.at(r, c);
+                    std::copy(kern.data.begin() + r * kern.cols,
+                              kern.data.begin() + (r + 1) * kern.cols,
+                              padded.begin() + (row0 + r) * cols);
             }
             plan->forwardReal(padded.data(), out.data());
         });
 }
 
-signal::Matrix
-Jtc2d::outputPlane(const signal::Matrix &s, const signal::Matrix &k) const
-{
-    signal::Matrix out;
-    outputPlaneInto(s, k, out);
-    return out;
-}
-
 void
-Jtc2d::outputPlaneInto(const signal::Matrix &s, const signal::Matrix &k,
-                       signal::Matrix &out) const
+Jtc2d::jointPlane(const signal::Matrix &s,
+                  std::span<const signal::Matrix> kernels,
+                  const Jtc2dLayout &layout, signal::Matrix &out) const
 {
-    const auto layout =
-        Jtc2dLayout::design(s.rows, s.cols, k.rows, k.cols);
     const size_t rows = layout.plane_rows;
     const size_t cols = layout.plane_cols;
     const auto plan = signal::fft2dPlanFor(rows, cols);
 
-    // Static kernel block: transformed once per (kernel, layout) and
+    // Static kernel blocks: transformed once per (bank, layout) and
     // cached; fetched before the signal plane is built.
-    const auto kspec = kernelPlaneSpectrum(k, layout);
+    const auto kspec = kernelBankSpectrum(kernels, layout);
 
-    // Signal block on the (real) joint plane; the kernel block stays
-    // zero — its contribution is the cached spectrum, added between
+    // Signal block on the (real) joint plane; the kernel blocks stay
+    // zero — their contribution is the cached spectrum, added between
     // the lenses (the lens transform is linear).
     static thread_local signal::Matrix plane;
     plane.resize(rows, cols);
@@ -213,6 +136,22 @@ Jtc2d::outputPlaneInto(const signal::Matrix &s, const signal::Matrix &k,
 }
 
 signal::Matrix
+Jtc2d::outputPlane(const signal::Matrix &s, const signal::Matrix &k) const
+{
+    signal::Matrix out;
+    outputPlaneInto(s, k, out);
+    return out;
+}
+
+void
+Jtc2d::outputPlaneInto(const signal::Matrix &s, const signal::Matrix &k,
+                       signal::Matrix &out) const
+{
+    jointPlane(s, {&k, 1},
+               Jtc2dLayout::design(s.rows, s.cols, k.rows, k.cols), out);
+}
+
+signal::Matrix
 Jtc2d::correlate(const signal::Matrix &s, const signal::Matrix &k) const
 {
     signal::Matrix out;
@@ -224,27 +163,7 @@ void
 Jtc2d::correlateInto(const signal::Matrix &s, const signal::Matrix &k,
                      signal::Matrix &out) const
 {
-    pf_assert(s.rows >= k.rows && s.cols >= k.cols,
-              "kernel larger than signal");
-    const auto layout =
-        Jtc2dLayout::design(s.rows, s.cols, k.rows, k.cols);
-    // The full plane is per-thread scratch (same idiom as the tap
-    // list in slidingCorrelationInto): steady state never allocates.
-    static thread_local signal::Matrix plane;
-    outputPlaneInto(s, k, plane);
-
-    const size_t out_rows = s.rows - k.rows + 1;
-    const size_t out_cols = s.cols - k.cols + 1;
-    out.resizeNoFill(out_rows, out_cols);
-    for (size_t i = 0; i < out_rows; ++i) {
-        const size_t dr =
-            (layout.kernel_row_pos - i) % layout.plane_rows;
-        for (size_t j = 0; j < out_cols; ++j) {
-            const size_t dc =
-                (layout.plane_cols - j) % layout.plane_cols;
-            out.at(i, j) = plane.at(dr, dc);
-        }
-    }
+    correlateBank(s, {&k, 1}, {&out, 1});
 }
 
 void
@@ -252,7 +171,16 @@ Jtc2d::correlateBatchInto(const signal::Matrix &s,
                           const std::vector<signal::Matrix> &kernels,
                           std::vector<signal::Matrix> &outs) const
 {
-    pf_assert(!kernels.empty(), "correlateBatchInto with no kernels");
+    outs.resize(kernels.size());
+    correlateBank(s, kernels, outs);
+}
+
+void
+Jtc2d::correlateBank(const signal::Matrix &s,
+                     std::span<const signal::Matrix> kernels,
+                     std::span<signal::Matrix> outs) const
+{
+    pf_assert(!kernels.empty(), "2D JTC correlation with no kernels");
     for (const auto &k : kernels)
         pf_assert(k.rows == kernels[0].rows &&
                       k.cols == kernels[0].cols,
@@ -264,28 +192,17 @@ Jtc2d::correlateBatchInto(const signal::Matrix &s,
         kernels.size());
     const size_t rows = layout.plane_rows;
     const size_t cols = layout.plane_cols;
-    const auto plan = signal::fft2dPlanFor(rows, cols);
 
-    // The whole tiled kernel bank in one cached spectrum; ONE 2D
-    // Fourier pass then serves every kernel.
-    const auto kspec = kernelBankSpectrum(kernels, layout);
-
-    static thread_local signal::Matrix plane;
-    plane.resize(rows, cols);
-    for (size_t r = 0; r < s.rows; ++r)
-        std::copy(s.data.begin() + r * s.cols,
-                  s.data.begin() + (r + 1) * s.cols,
-                  plane.data.begin() + r * cols);
-
+    // ONE 2D Fourier pass serves every kernel of the bank. The full
+    // plane is per-thread scratch: steady state never allocates.
     static thread_local signal::Matrix out_plane;
-    plan->jointAutocorrelationInto(plane, kspec->data(), out_plane);
+    jointPlane(s, kernels, layout, out_plane);
 
     // Per-kernel readout at each block's own row displacement; the
     // designBatch guard bands keep every read row clear of the other
     // kernels' terms.
     const size_t out_rows = s.rows - kernels[0].rows + 1;
     const size_t out_cols = s.cols - kernels[0].cols + 1;
-    outs.resize(kernels.size());
     for (size_t j = 0; j < kernels.size(); ++j) {
         const size_t q =
             layout.kernel_row_pos + j * layout.kernel_row_step;

@@ -12,10 +12,11 @@
  *
  * The whole optical path runs on the cached 2D real-FFT plan
  * (signal::Fft2dPlan): the joint plane is real, so both lenses ride
- * the half-spectrum transforms, and the static kernel block's
- * Fourier-plane contribution is transformed once per (kernel, layout)
- * through a content-addressed signal::PlaneSpectrumCache — only the
- * streamed signal is transformed per call.
+ * the half-spectrum transforms, and the static kernel blocks'
+ * Fourier-plane contribution is transformed once per (kernel bank,
+ * layout) through a content-addressed signal::PlaneSpectrumCache —
+ * only the streamed signal is transformed per call. There is one
+ * body: a single kernel is a bank of one on the classic layout.
  */
 
 #ifndef PHOTOFOURIER_FOURIER4F_JTC2D_HH
@@ -23,6 +24,7 @@
 
 #include <cstddef>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "signal/fft2d.hh"
@@ -46,21 +48,20 @@ struct Jtc2dLayout
      *  single). Block j starts at kernel_row_pos + j*kernel_row_step. */
     size_t kernel_row_step = 0;
 
-    /** Design a layout separating the three output terms. */
+    /** Design a layout separating the three output terms:
+     *  designBatch with kernel_count = 1. */
     static Jtc2dLayout design(size_t signal_rows, size_t signal_cols,
                               size_t kernel_rows, size_t kernel_cols);
 
     /**
      * Layout tiling `kernel_count` kernel blocks down ONE joint plane
      * so a single 2D Fourier pass yields every kernel's correlation.
-     * Guard bands mirror the 1D batch design along the row axis
-     * (JtcPlaneLayout::designBatch): blocks at row spacing
+     * The row axis is the 1D joint plane (JtcPlaneLayout::designBatch
+     * with Ls -> Sr and Lk -> Kr): blocks at row spacing
      * S = Sr + 3*Kr - 2 interleave each signal-kernel cross band
      * between the kernel-kernel bands with one clear row each side;
      * plane_rows >= 2*q_last + 2*Kr clears the mirrors; columns are
      * unchanged (all blocks share the column origin).
-     * kernel_count == 1 returns design() exactly (bit-identical
-     * batch-of-1).
      */
     static Jtc2dLayout designBatch(size_t signal_rows,
                                    size_t signal_cols,
@@ -103,19 +104,18 @@ class Jtc2d
     signal::Matrix correlate(const signal::Matrix &s,
                              const signal::Matrix &k) const;
 
-    /** correlate writing into `out`; allocation-free when warm (the
-     *  full plane lives in per-thread scratch). */
+    /** correlate writing into `out`: correlateBatchInto's pass with a
+     *  bank of one. Allocation-free when warm. */
     void correlateInto(const signal::Matrix &s, const signal::Matrix &k,
                        signal::Matrix &out) const;
 
     /**
-     * Batched correlate: k same-shape kernels tiled down one joint
-     * plane (Jtc2dLayout::designBatch), their summed block spectrum
-     * cached as a single bank entry — one r2c + |.|^2 + c2r on the
-     * tiled plane computes every kernel's 2D correlation, and
-     * outs[j] is read at kernel j's own row displacement. Matches
-     * per-kernel correlateInto within FFT rounding of the larger
-     * plane (bit-identical for kernels.size() == 1). Allocation-free
+     * k same-shape kernels tiled down one joint plane
+     * (Jtc2dLayout::designBatch), their summed block spectrum cached
+     * as a single bank entry — one r2c + |.|^2 + c2r on the tiled
+     * plane computes every kernel's 2D correlation, and outs[j] is
+     * read at kernel j's own row displacement. Matches k bank-of-one
+     * calls within FFT rounding of the larger plane. Allocation-free
      * with a warm bank cache once outs' capacity is warm.
      */
     void correlateBatchInto(const signal::Matrix &s,
@@ -130,16 +130,24 @@ class Jtc2d
     }
 
   private:
-    /** Cached plane_rows x (plane_cols/2+1) half-spectrum of the
-     *  kernel block placed at (kernel_row_pos, 0). */
-    std::shared_ptr<const signal::ComplexVector> kernelPlaneSpectrum(
-        const signal::Matrix &k, const Jtc2dLayout &layout) const;
+    /** The one body of correlateInto and correlateBatchInto: outs[j]
+     *  (sized like kernels) receives the correlation with kernels[j]. */
+    void correlateBank(const signal::Matrix &s,
+                       std::span<const signal::Matrix> kernels,
+                       std::span<signal::Matrix> outs) const;
+
+    /** The full output plane of `s` beside the kernel blocks of
+     *  `layout` (the optical path shared by outputPlaneInto and
+     *  correlateBank). */
+    void jointPlane(const signal::Matrix &s,
+                    std::span<const signal::Matrix> kernels,
+                    const Jtc2dLayout &layout, signal::Matrix &out) const;
 
     /** Cached summed half-spectrum of every tiled kernel block
      *  (block j at row kernel_row_pos + j*kernel_row_step) — one
      *  bank entry per (kernel bytes, tiling geometry). */
     std::shared_ptr<const signal::ComplexVector> kernelBankSpectrum(
-        const std::vector<signal::Matrix> &kernels,
+        std::span<const signal::Matrix> kernels,
         const Jtc2dLayout &layout) const;
 
     std::shared_ptr<signal::PlaneSpectrumCache> spectra_;

@@ -14,8 +14,8 @@ namespace {
 
 // Workspace slots 24-25 and 27: the fourier4f share of the optical-
 // simulator range (see the slot discipline in fft_plan.hh). 27 holds
-// the batched product planes of applyBatchInto while the shared image
-// spectrum stays live in 25.
+// the product planes of applyBank while the shared image spectrum
+// stays live in 25.
 constexpr size_t kSlot4fPad = 24;
 constexpr size_t kSlot4fSpectrum = 25;
 constexpr size_t kSlot4fBatchProducts = 27;
@@ -70,52 +70,14 @@ System4f::programFilter(const signal::Matrix &kernel, size_t rows,
 }
 
 std::shared_ptr<const signal::ComplexVector>
-System4f::filterHalfSpectrum(const signal::Matrix &kernel, size_t rows,
-                             size_t cols) const
-{
-    // Salt: plane geometry, the kernel's column count (two kernels
-    // with equal bytes but different shapes pad differently), and the
-    // modulator resolutions the quantization depends on.
-    uint64_t salt = signal::planeSpectrumSalt(rows);
-    salt = signal::planeSpectrumSalt(cols, salt);
-    salt = signal::planeSpectrumSalt(kernel.cols, salt);
-    salt = signal::planeSpectrumSalt(
-        static_cast<uint64_t>(config_.amplitude_bits), salt);
-    salt = signal::planeSpectrumSalt(
-        static_cast<uint64_t>(config_.phase_bits), salt);
-
-    struct Ctx
-    {
-        const System4f *self;
-        const signal::Matrix *kernel;
-        size_t rows, cols;
-    } ctx{this, &kernel, rows, cols};
-    const size_t hc = cols / 2 + 1;
-    return spectra_->spectrum(
-        salt, kernel.data, rows * hc,
-        [&ctx](signal::ComplexVector &out) {
-            // Program the full filter (FT + polar quantization), then
-            // keep the Hermitian half. The quantizer is symmetric
-            // (q(-x) == -q(x)), so the programmed filter stays
-            // Hermitian and the half representation is lossless.
-            const auto filter = ctx.self->programFilter(
-                *ctx.kernel, ctx.rows, ctx.cols);
-            const size_t hc = ctx.cols / 2 + 1;
-            for (size_t r = 0; r < ctx.rows; ++r)
-                for (size_t c = 0; c < hc; ++c)
-                    out[r * hc + c] = filter.at(r, c);
-        });
-}
-
-std::shared_ptr<const signal::ComplexVector>
-System4f::filterBankHalfSpectrum(
-    const std::vector<signal::Matrix> &kernels, size_t rows,
-    size_t cols) const
+System4f::filterBankHalfSpectrum(std::span<const signal::Matrix> kernels,
+                                 size_t rows, size_t cols) const
 {
     // One content-addressed entry for the whole bank: the payload is
     // the concatenated kernel bytes (so any kernel change re-programs
     // the bank) and the salt carries the tiling geometry — plane
-    // shape, per-kernel shape, bank size, and the modulator bits the
+    // shape, per-kernel shape (equal bytes in different shapes pad
+    // differently), bank size, and the modulator bits the
     // quantization depends on.
     uint64_t salt = signal::planeSpectrumSalt(rows);
     salt = signal::planeSpectrumSalt(cols, salt);
@@ -127,32 +89,25 @@ System4f::filterBankHalfSpectrum(
     salt = signal::planeSpectrumSalt(
         static_cast<uint64_t>(config_.phase_bits), salt);
 
-    // Payload scratch is per-thread so warm lookups stay
-    // allocation-free (the cache compares payload bytes on every hit).
-    static thread_local std::vector<double> bank_payload;
-    bank_payload.clear();
-    for (const auto &k : kernels)
-        bank_payload.insert(bank_payload.end(), k.data.begin(),
-                            k.data.end());
-
     struct Ctx
     {
         const System4f *self;
-        const std::vector<signal::Matrix> *kernels;
+        std::span<const signal::Matrix> kernels;
         size_t rows, cols;
-    } ctx{this, &kernels, rows, cols};
+    } ctx{this, kernels, rows, cols};
     const size_t hc = cols / 2 + 1;
     return spectra_->spectrum(
-        salt, bank_payload, kernels.size() * rows * hc,
-        [&ctx](signal::ComplexVector &out) {
-            // Program each filter of the bank exactly as the solo path
-            // would (FT + polar quantization), filter j at plane j of
-            // the contiguous bank — batched outputs stay bit-identical
-            // to k solo applies.
+        salt, signal::bankPayload(kernels, &signal::Matrix::data),
+        kernels.size() * rows * hc, [&ctx](signal::ComplexVector &out) {
+            // Program each filter (FT + polar quantization), then keep
+            // its Hermitian half at plane j of the contiguous bank. The
+            // quantizer is symmetric (q(-x) == -q(x)), so the programmed
+            // filter stays Hermitian and the half representation is
+            // lossless.
             const size_t hc = ctx.cols / 2 + 1;
-            for (size_t j = 0; j < ctx.kernels->size(); ++j) {
+            for (size_t j = 0; j < ctx.kernels.size(); ++j) {
                 const auto filter = ctx.self->programFilter(
-                    (*ctx.kernels)[j], ctx.rows, ctx.cols);
+                    ctx.kernels[j], ctx.rows, ctx.cols);
                 signal::Complex *dst = out.data() + j * ctx.rows * hc;
                 for (size_t r = 0; r < ctx.rows; ++r)
                     for (size_t c = 0; c < hc; ++c)
@@ -162,16 +117,16 @@ System4f::filterBankHalfSpectrum(
 }
 
 void
-System4f::applyBatchInto(const signal::Matrix &image,
-                         const std::vector<signal::Matrix> &kernels,
-                         std::vector<signal::Matrix> &outs) const
+System4f::applyBank(const signal::Matrix &image,
+                    std::span<const signal::Matrix> kernels,
+                    std::span<signal::Matrix> outs) const
 {
-    pf_assert(!kernels.empty(), "applyBatchInto with no kernels");
+    pf_assert(!kernels.empty(), "4F apply with no kernels");
     pf_assert(image.rows > 0 && kernels[0].rows > 0, "empty operands");
     for (const auto &k : kernels)
         pf_assert(k.rows == kernels[0].rows &&
                       k.cols == kernels[0].cols,
-                  "applyBatchInto kernels must share one shape");
+                  "a 4F filter bank must share one kernel shape");
     const size_t count = kernels.size();
     const size_t rows = image.rows + kernels[0].rows - 1;
     const size_t cols = image.cols + kernels[0].cols - 1;
@@ -180,11 +135,13 @@ System4f::applyBatchInto(const signal::Matrix &image,
     const size_t half_plane = rows * hc;
     signal::FftWorkspace &ws = signal::threadFftWorkspace();
 
-    // The whole programmed filter bank in one cache lookup.
+    // The whole programmed filter bank in one cache lookup: filters
+    // are static per kernel set, transformed (and quantized) once.
     const auto bank = filterBankHalfSpectrum(kernels, rows, cols);
 
-    // Input-side lens ONCE: the input transform is filter-independent,
-    // so its cost is shared by every kernel of the bank.
+    // Input-side lens ONCE (r2c: the input plane is real). The input
+    // transform is filter-independent, so its cost is shared by every
+    // kernel of the bank.
     std::vector<double> &padded = ws.realBuffer(kSlot4fPad, rows * cols);
     std::fill(padded.begin(), padded.end(), 0.0);
     for (size_t r = 0; r < image.rows; ++r)
@@ -212,7 +169,6 @@ System4f::applyBatchInto(const signal::Matrix &image,
         ws.realBuffer(kSlot4fPad, count * rows * cols);
     plan->inverseRealBatchInto(products.data(), count, planes.data());
 
-    outs.resize(count);
     for (size_t j = 0; j < count; ++j) {
         outs[j].resizeNoFill(rows, cols);
         std::copy(planes.begin() +
@@ -221,6 +177,15 @@ System4f::applyBatchInto(const signal::Matrix &image,
                       static_cast<long>((j + 1) * rows * cols),
                   outs[j].data.begin());
     }
+}
+
+void
+System4f::applyBatchInto(const signal::Matrix &image,
+                         const std::vector<signal::Matrix> &kernels,
+                         std::vector<signal::Matrix> &outs) const
+{
+    outs.resize(kernels.size());
+    applyBank(image, kernels, outs);
 }
 
 signal::Matrix
@@ -236,36 +201,7 @@ void
 System4f::apply(const signal::Matrix &image, const signal::Matrix &kernel,
                 signal::Matrix &out) const
 {
-    pf_assert(image.rows > 0 && kernel.rows > 0, "empty operands");
-    const size_t rows = image.rows + kernel.rows - 1;
-    const size_t cols = image.cols + kernel.cols - 1;
-    const auto plan = signal::fft2dPlanFor(rows, cols);
-    const size_t hc = plan->halfCols();
-    signal::FftWorkspace &ws = signal::threadFftWorkspace();
-
-    // The programmed filter is static per kernel: transformed (and
-    // quantized) once, fetched from the cache thereafter.
-    const auto filter = filterHalfSpectrum(kernel, rows, cols);
-
-    // Input plane -> first lens (r2c: the input plane is real).
-    std::vector<double> &padded = ws.realBuffer(kSlot4fPad, rows * cols);
-    std::fill(padded.begin(), padded.end(), 0.0);
-    for (size_t r = 0; r < image.rows; ++r)
-        std::copy(image.data.begin() + r * image.cols,
-                  image.data.begin() + (r + 1) * image.cols,
-                  padded.begin() + r * cols);
-    signal::ComplexVector &spectrum =
-        ws.complexBuffer(kSlot4fSpectrum, rows * hc);
-    plan->forwardReal(padded.data(), spectrum.data());
-
-    // Fourier plane: point-wise multiplication with the programmed
-    // complex filter (its cached Hermitian half).
-    for (size_t i = 0; i < spectrum.size(); ++i)
-        spectrum[i] *= (*filter)[i];
-
-    // Second lens back to the space domain.
-    out.resizeNoFill(rows, cols);
-    plan->inverseReal(spectrum.data(), out.data.data());
+    applyBank(image, {&kernel, 1}, {&out, 1});
 }
 
 Requirements4f

@@ -25,6 +25,7 @@
 
 #include <cstddef>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "signal/fft2d.hh"
@@ -90,27 +91,27 @@ class System4f
                             const signal::Matrix &kernel) const;
 
     /**
-     * convolve writing into `out` (resized, capacity reused) — the
-     * streaming form: with the kernel's filter already programmed
-     * (warm cache), one apply is an r2c of the input plane, a
-     * pointwise product against the cached filter half-spectrum, and
+     * convolve writing into `out` (resized, capacity reused): a bank
+     * of one through applyBatchInto's pass. With the kernel's filter
+     * already programmed (warm cache) it is an r2c of the input plane,
+     * a pointwise product against the cached filter half-spectrum, and
      * a c2r back — no heap allocation at all.
      */
     void apply(const signal::Matrix &image, const signal::Matrix &kernel,
                signal::Matrix &out) const;
 
     /**
-     * Batched apply: convolve one image with k same-shape kernels in
-     * one pass through the optics. The input-side lens runs ONCE (the
-     * 4F input transform does not depend on the filter), the k
-     * programmed filters come from a single cached filter *bank* —
-     * one PlaneSpectrumCache entry holding all k half-spectra
+     * Convolve one image with k same-shape kernels in one pass through
+     * the optics. The input-side lens runs ONCE (the 4F input
+     * transform does not depend on the filter), the k programmed
+     * filters come from a single cached filter *bank* — one
+     * PlaneSpectrumCache entry holding all k half-spectra
      * contiguously, the software analogue of programming the Fourier
      * plane once per filter set — and the k output-side transforms
      * fuse through Fft2dPlan::inverseRealBatchInto. Per-kernel cost
      * falls from (2 transforms + products) to (1 + 1/k transforms +
-     * products). outs[j] matches apply(image, kernels[j], .) exactly
-     * (bit-identical: same plan, same per-plane arithmetic).
+     * products). Every plane's arithmetic is independent of k, so
+     * outs[j] is bit-identical to apply(image, kernels[j], .).
      * Allocation-free in steady state once outs' capacity is warm.
      */
     void applyBatchInto(const signal::Matrix &image,
@@ -140,15 +141,16 @@ class System4f
     }
 
   private:
-    /** Cached rows x (cols/2+1) half-spectrum of the programmed
-     *  filter for `kernel` on a rows x cols Fourier plane. */
-    std::shared_ptr<const signal::ComplexVector> filterHalfSpectrum(
-        const signal::Matrix &kernel, size_t rows, size_t cols) const;
+    /** The one body of apply and applyBatchInto: outs[j] (sized like
+     *  kernels) receives the convolution with kernels[j]. */
+    void applyBank(const signal::Matrix &image,
+                   std::span<const signal::Matrix> kernels,
+                   std::span<signal::Matrix> outs) const;
 
     /** Cached bank of k programmed filter half-spectra (filter j at
      *  offset j*rows*(cols/2+1)), one cache entry per kernel set. */
     std::shared_ptr<const signal::ComplexVector> filterBankHalfSpectrum(
-        const std::vector<signal::Matrix> &kernels, size_t rows,
+        std::span<const signal::Matrix> kernels, size_t rows,
         size_t cols) const;
 
     System4fConfig config_;

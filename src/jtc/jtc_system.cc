@@ -51,9 +51,8 @@ JtcPlaneLayout::designBatch(size_t signal_len, size_t kernel_len,
                             size_t kernel_count)
 {
     pf_assert(kernel_count >= 1, "designBatch with no kernels");
-    // A batch of one IS the solo layout: same separation, same plane,
-    // same cached kernel spectrum — batch-of-1 readouts are
-    // bit-identical to the unbatched path by construction.
+    // A batch of one IS the classic layout: same separation, same
+    // plane.
     if (kernel_count == 1)
         return design(signal_len, kernel_len);
     pf_assert(signal_len > 0 && kernel_len > 0,
@@ -98,77 +97,39 @@ JtcSystem::JtcSystem(JtcConfig config,
 }
 
 std::shared_ptr<const signal::ComplexVector>
-JtcSystem::kernelPlaneSpectrum(const std::vector<double> &k,
-                               const JtcPlaneLayout &layout) const
-{
-    // The salt pins the placement geometry; the cache verifies the
-    // kernel bytes. Together they content-address the static field.
-    uint64_t salt = signal::planeSpectrumSalt(layout.plane_size);
-    salt = signal::planeSpectrumSalt(layout.kernel_pos, salt);
-
-    struct Ctx
-    {
-        const std::vector<double> *k;
-        const JtcPlaneLayout *layout;
-    } ctx{&k, &layout};
-    // Single-reference capture: the Compute stays in std::function's
-    // small-buffer storage, so cache hits never allocate.
-    return spectra_->spectrum(
-        salt, k, layout.plane_size / 2 + 1,
-        [&ctx](signal::ComplexVector &out) {
-            const size_t n = ctx.layout->plane_size;
-            const auto plan = signal::fftPlanFor(n);
-            std::vector<double> &padded =
-                signal::threadFftWorkspace().realBuffer(kSlotJtcPlane,
-                                                        n);
-            std::fill(padded.begin(), padded.end(), 0.0);
-            std::copy(ctx.k->begin(), ctx.k->end(),
-                      padded.begin() +
-                          static_cast<long>(ctx.layout->kernel_pos));
-            plan->executeReal(padded.data(), out.data());
-        });
-}
-
-std::shared_ptr<const signal::ComplexVector>
-JtcSystem::kernelBankSpectrum(
-    const std::vector<std::vector<double>> &kernels,
-    const JtcPlaneLayout &layout) const
+JtcSystem::kernelBankSpectrum(std::span<const std::vector<double>> kernels,
+                              const JtcPlaneLayout &layout) const
 {
     // One entry for the whole tiled bank: the salt pins the tiling
     // geometry, the payload is the concatenated kernel bytes. The
     // lens is linear, so the bank's Fourier-plane contribution is one
-    // transform of all kernel fields summed onto the plane.
+    // transform of all kernel fields placed on the plane.
     uint64_t salt = signal::planeSpectrumSalt(layout.plane_size);
     salt = signal::planeSpectrumSalt(layout.kernel_pos, salt);
     salt = signal::planeSpectrumSalt(layout.kernel_step, salt);
     salt = signal::planeSpectrumSalt(layout.kernel_count, salt);
 
-    static thread_local std::vector<double> bank_payload;
-    bank_payload.clear();
-    for (const auto &k : kernels)
-        bank_payload.insert(bank_payload.end(), k.begin(), k.end());
-
     struct Ctx
     {
-        const std::vector<std::vector<double>> *kernels;
+        std::span<const std::vector<double>> kernels;
         const JtcPlaneLayout *layout;
-    } ctx{&kernels, &layout};
+    } ctx{kernels, &layout};
+    // Single-reference capture: the Compute stays in std::function's
+    // small-buffer storage, so cache hits never allocate.
     return spectra_->spectrum(
-        salt, bank_payload, layout.plane_size / 2 + 1,
-        [&ctx](signal::ComplexVector &out) {
+        salt, signal::bankPayload(kernels, std::identity{}),
+        layout.plane_size / 2 + 1, [&ctx](signal::ComplexVector &out) {
             const size_t n = ctx.layout->plane_size;
             const auto plan = signal::fftPlanFor(n);
             std::vector<double> &padded =
                 signal::threadFftWorkspace().realBuffer(kSlotJtcPlane,
                                                         n);
             std::fill(padded.begin(), padded.end(), 0.0);
-            for (size_t j = 0; j < ctx.kernels->size(); ++j) {
-                const auto &k = (*ctx.kernels)[j];
-                const size_t pos = ctx.layout->kernel_pos +
-                                   j * ctx.layout->kernel_step;
-                for (size_t t = 0; t < k.size(); ++t)
-                    padded[pos + t] += k[t];
-            }
+            for (size_t j = 0; j < ctx.kernels.size(); ++j)
+                std::copy(ctx.kernels[j].begin(), ctx.kernels[j].end(),
+                          padded.begin() +
+                              static_cast<long>(ctx.layout->kernel_pos +
+                                                j * ctx.layout->kernel_step));
             plan->executeReal(padded.data(), out.data());
         });
 }
@@ -212,7 +173,15 @@ JtcSystem::outputPlaneInto(const std::vector<double> &s,
                            const std::vector<double> &k,
                            std::vector<double> &out) const
 {
-    const JtcPlaneLayout layout = layoutFor(s, k);
+    jointPlane(s, {&k, 1}, layoutFor(s, k), out);
+}
+
+void
+JtcSystem::jointPlane(const std::vector<double> &s,
+                      std::span<const std::vector<double>> kernels,
+                      const JtcPlaneLayout &layout,
+                      std::vector<double> &out) const
+{
     const size_t n = layout.plane_size;
     // Both lens transforms reuse one cached plan for the plane size; a
     // CNN layer evaluates thousands of same-geometry JTC passes, so the
@@ -221,14 +190,14 @@ JtcSystem::outputPlaneInto(const std::vector<double> &s,
     const size_t half_n = plan->halfSpectrumSize();
     signal::FftWorkspace &ws = signal::threadFftWorkspace();
 
-    // Static kernel field: transformed once per (kernel, layout) and
+    // Static kernel fields: transformed once per (bank, layout) and
     // cached. Fetched before the signal plane is built — the miss
     // path borrows the plane slot for its padding scratch.
-    const auto kspec = kernelPlaneSpectrum(k, layout);
+    const auto kspec = kernelBankSpectrum(kernels, layout);
 
-    // Signal field on the joint plane (the kernel block stays zero:
-    // its contribution is the cached spectrum, added after the lens —
-    // the lens transform is linear).
+    // Signal field on the joint plane (the kernel blocks stay zero:
+    // their contribution is the cached spectrum, added after the lens
+    // — the lens transform is linear).
     std::vector<double> &plane = ws.realBuffer(kSlotJtcPlane, n);
     std::fill(plane.begin(), plane.end(), 0.0);
     std::copy(s.begin(), s.end(),
@@ -250,8 +219,10 @@ JtcSystem::outputPlaneInto(const std::vector<double> &s,
             field[i] = signal::Complex(std::norm(field[i]), 0.0);
         out.resize(n);
         plan->executeRealInverse(field.data(), out.data());
-        for (size_t i = 0; i < n; ++i)
-            out[i] = readOut(out[i], out[i], out_pd);
+        // A noiseless linear readout records the field as it is.
+        if (config_.readout != ReadoutModel::Linear)
+            for (size_t i = 0; i < n; ++i)
+                out[i] = readOut(out[i], out[i], out_pd);
         return;
     }
 
@@ -339,31 +310,7 @@ JtcSystem::correlationWindowInto(const std::vector<double> &s,
                                  size_t count, long start,
                                  std::vector<double> &out) const
 {
-    // out[i] = c[-(start + i)]: read the full correlation backwards,
-    // straight off the output plane (c[m + Ls - 1] = R[(q + m) % n]).
-    const JtcPlaneLayout layout = layoutFor(s, k);
-    std::vector<double> &plane = signal::threadFftWorkspace().realBuffer(
-        kSlotJtcOutPlane, layout.plane_size);
-    outputPlaneInto(s, k, plane);
-
-    const long n = static_cast<long>(layout.plane_size);
-    const long q = static_cast<long>(layout.kernel_pos);
-    const long zero_index = static_cast<long>(s.size()) - 1;
-    const long c_size =
-        static_cast<long>(s.size() + k.size()) - 1;
-    out.resize(count);
-    for (size_t i = 0; i < count; ++i) {
-        const long idx = zero_index - (start + static_cast<long>(i));
-        if (idx >= 0 && idx < c_size) {
-            const long m = idx - zero_index;
-            const size_t p =
-                static_cast<size_t>(((q + m) % n + n) % n);
-            out[i] = plane[p];
-        } else {
-            // Kernel fully past either end of the signal -> zero.
-            out[i] = 0.0;
-        }
-    }
+    correlationWindows(s, {&k, 1}, count, start, out);
 }
 
 void
@@ -372,77 +319,55 @@ JtcSystem::correlationWindowBatchInto(
     const std::vector<std::vector<double>> &kernels, size_t count,
     long start, std::vector<double> &out) const
 {
-    pf_assert(!kernels.empty(),
-              "correlationWindowBatchInto with no kernels");
+    correlationWindows(s, kernels, count, start, out);
+}
+
+void
+JtcSystem::correlationWindows(const std::vector<double> &s,
+                              std::span<const std::vector<double>> kernels,
+                              size_t count, long start,
+                              std::vector<double> &out) const
+{
+    pf_assert(!kernels.empty(), "JTC correlation with no kernels");
     for (const auto &k : kernels)
         pf_assert(k.size() == kernels[0].size(),
                   "tiled kernels must share one length");
 
-    // Noise on: per-detector draws depend on the plane geometry, so a
-    // tiled plane would give a request different noise than the solo
-    // path. Determinism wins — run the per-kernel path (each kernel's
-    // readout sees exactly the noise stream it would solo).
-    if (config_.noise) {
-        static thread_local std::vector<double> window;
-        out.resize(kernels.size() * count);
-        for (size_t j = 0; j < kernels.size(); ++j) {
-            correlationWindowInto(s, kernels[j], count, start, window);
-            std::copy(window.begin(), window.end(),
-                      out.begin() + static_cast<long>(j * count));
-        }
-        return;
-    }
-
+    // Kernels per joint plane: the whole bank, or one each with noise
+    // on. Per-detector noise draws depend on the plane geometry, so a
+    // tiled plane would give a kernel different noise than a plane of
+    // its own; with noise, determinism wins, and each kernel runs on
+    // the bank-of-one plane (and cache entry) it would use alone.
+    const size_t per_plane = config_.noise ? 1 : kernels.size();
     const JtcPlaneLayout layout = JtcPlaneLayout::designBatch(
-        s.size(), kernels[0].size(), kernels.size());
-    const size_t n = layout.plane_size;
-    const auto plan = signal::fftPlanFor(n);
-    const size_t half_n = plan->halfSpectrumSize();
-    signal::FftWorkspace &ws = signal::threadFftWorkspace();
+        s.size(), kernels[0].size(), per_plane);
+    std::vector<double> &plane = signal::threadFftWorkspace().realBuffer(
+        kSlotJtcOutPlane, layout.plane_size);
 
-    // The whole tiled kernel bank in one cached spectrum.
-    const auto kspec = kernelBankSpectrum(kernels, layout);
-
-    // Signal field on the joint plane; ONE lens pass serves every
-    // kernel of the bank.
-    std::vector<double> &plane = ws.realBuffer(kSlotJtcPlane, n);
-    std::fill(plane.begin(), plane.end(), 0.0);
-    std::copy(s.begin(), s.end(),
-              plane.begin() + static_cast<long>(layout.signal_pos));
-
-    signal::ComplexVector &field = ws.complexBuffer(kSlotJtcHalf, half_n);
-    plan->executeReal(plane.data(), field.data());
-    for (size_t i = 0; i < half_n; ++i)
-        field[i] += (*kspec)[i];
-    for (size_t i = 0; i < half_n; ++i)
-        field[i] = signal::Complex(std::norm(field[i]), 0.0);
-    std::vector<double> &rplane = ws.realBuffer(kSlotJtcOutPlane, n);
-    plan->executeRealInverse(field.data(), rplane.data());
-
-    // Per-kernel readout at each kernel's own displaced lag; the
-    // guard bands of designBatch keep every read position clear of
-    // the other kernels' terms.
-    photonics::Photodetector out_pd(config_.detector,
-                                    config_.noise_seed + 1);
-    const long ln = static_cast<long>(n);
+    // Kernel j's window out[j*count + i] = c_j[-(start + i)], read
+    // backwards off its own displaced cross band
+    // (c_j[m + Ls - 1] = R[(q_j + m) % n]); the designBatch guard
+    // bands keep every read position clear of the other kernels'
+    // terms.
+    const long n = static_cast<long>(layout.plane_size);
     const long zero_index = static_cast<long>(s.size()) - 1;
     const long c_size =
         static_cast<long>(s.size() + kernels[0].size()) - 1;
     out.resize(kernels.size() * count);
     for (size_t j = 0; j < kernels.size(); ++j) {
+        const size_t slot = j % per_plane;
+        if (slot == 0)
+            jointPlane(s, kernels.subspan(j, per_plane), layout, plane);
         const long q = static_cast<long>(layout.kernel_pos +
-                                         j * layout.kernel_step);
+                                         slot * layout.kernel_step);
         double *dst = out.data() + j * count;
         for (size_t i = 0; i < count; ++i) {
             const long idx = zero_index - (start + static_cast<long>(i));
-            if (idx >= 0 && idx < c_size) {
-                const long m = idx - zero_index;
-                const size_t p =
-                    static_cast<size_t>(((q + m) % ln + ln) % ln);
-                dst[i] = readOut(rplane[p], rplane[p], out_pd);
-            } else {
-                dst[i] = 0.0;
-            }
+            // Kernel fully past either end of the signal -> zero.
+            dst[i] = idx >= 0 && idx < c_size
+                         ? plane[static_cast<size_t>(
+                               ((q + idx - zero_index) % n + n) % n)]
+                         : 0.0;
         }
     }
 }

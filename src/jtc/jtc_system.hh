@@ -32,6 +32,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "photonics/photodetector.hh"
@@ -91,9 +92,8 @@ struct JtcPlaneLayout
      * q_0 = Ls + Lk - 1 + m*S with the smallest m clearing the central
      * term (m*S >= max(Ls,Lk) - Lk), and the plane size
      * >= 2*q_last + 2*Lk keeps every mirror band past every cross
-     * band. kernel_count == 1 returns design() exactly, so a batch of
-     * one is bit-identical to the solo path (same plane, same cached
-     * spectra).
+     * band. kernel_count == 1 returns design() exactly, so a lone
+     * kernel is a bank of one on the classic plane.
      */
     static JtcPlaneLayout designBatch(size_t signal_len,
                                       size_t kernel_len,
@@ -198,25 +198,25 @@ class JtcSystem
                                           long start = 0) const;
 
     /** correlationWindow writing into `out` — the optical-backend
-     *  hot path; allocation-free with a warm kernel cache. */
+     *  hot path: correlationWindowBatchInto's pass with a bank of
+     *  one. Allocation-free with a warm kernel cache. */
     void correlationWindowInto(const std::vector<double> &s,
                                const std::vector<double> &k,
                                size_t count, long start,
                                std::vector<double> &out) const;
 
     /**
-     * Batched correlationWindow: every kernel's window from ONE
-     * Fourier pass. The kernels (all one length) tile a single joint
-     * plane (JtcPlaneLayout::designBatch); their summed field spectrum
-     * is cached as one bank entry, so one r2c + |.|^2 + c2r on the
-     * tiled plane serves all of them, and kernel j's window is read at
-     * its own displaced lag. `out` holds the windows back to back
-     * (kernel j at out[j * count]). Matches per-kernel
-     * correlationWindowInto within FFT rounding of the larger plane
-     * (bit-identical when kernels.size() == 1 — same layout, same
-     * cache entry); with noise enabled it falls back to the per-kernel
-     * path so every (request, kernel) readout draws the same noise
-     * stream either way. Allocation-free with a warm bank cache.
+     * Every kernel's window from ONE Fourier pass. The kernels (all
+     * one length) tile a single joint plane
+     * (JtcPlaneLayout::designBatch); their summed field spectrum is
+     * cached as one bank entry, so one r2c + |.|^2 + c2r on the tiled
+     * plane serves all of them, and kernel j's window is read at its
+     * own displaced lag. `out` holds the windows back to back (kernel
+     * j at out[j * count]). Matches k bank-of-one calls within FFT
+     * rounding of the larger plane. With noise enabled each kernel
+     * runs on its own bank-of-one plane instead, so every
+     * (request, kernel) readout draws the same noise stream either
+     * way. Allocation-free with a warm bank cache.
      */
     void correlationWindowBatchInto(
         const std::vector<double> &s,
@@ -241,18 +241,26 @@ class JtcSystem
     JtcConfig config_;
     std::shared_ptr<signal::PlaneSpectrumCache> spectra_;
 
-    /** The cached Fourier-plane contribution of `k` placed at
-     *  layout.kernel_pos on a layout.plane_size joint plane (the
-     *  plane_size/2+1 Hermitian half-spectrum). */
-    std::shared_ptr<const signal::ComplexVector> kernelPlaneSpectrum(
-        const std::vector<double> &k,
-        const JtcPlaneLayout &layout) const;
+    /** The one body of correlationWindowInto and
+     *  correlationWindowBatchInto. */
+    void correlationWindows(const std::vector<double> &s,
+                            std::span<const std::vector<double>> kernels,
+                            size_t count, long start,
+                            std::vector<double> &out) const;
+
+    /** The recorded output plane of `s` beside the kernel fields of
+     *  `layout` (readout and noise applied); outputPlaneInto is the
+     *  bank of one on the classic layout. */
+    void jointPlane(const std::vector<double> &s,
+                    std::span<const std::vector<double>> kernels,
+                    const JtcPlaneLayout &layout,
+                    std::vector<double> &out) const;
 
     /** The cached summed Fourier-plane contribution of every tiled
      *  kernel (kernel j at layout.kernel_pos + j*kernel_step) — one
      *  bank entry per (kernel bytes, tiling geometry). */
     std::shared_ptr<const signal::ComplexVector> kernelBankSpectrum(
-        const std::vector<std::vector<double>> &kernels,
+        std::span<const std::vector<double>> kernels,
         const JtcPlaneLayout &layout) const;
 
     /** Apply the configured readout model (+ optional noise). */

@@ -125,128 +125,22 @@ fftRowPathProfitable(size_t in_rows, size_t in_cols, size_t k,
 }
 
 /**
- * The frequency-domain conv layer: input row half-spectra are computed
- * once per (channel, row), kernel-row spectra come from the shared
- * cache, and each output row accumulates its (ic, kernel row) products
- * in the frequency domain so one c2r finishes the row. Matches the
- * direct path within FFT rounding (~1e-12 relative).
- */
-Tensor
-fftRowConvolve(const Tensor &input, const std::vector<Tensor> &weights,
-               const std::vector<double> &bias, size_t stride,
-               signal::ConvMode mode, tiling::KernelSpectrumCache &cache)
-{
-    const size_t k = weights[0].height();
-    const size_t n_in = input.channels();
-    const size_t n_out = weights.size();
-    const size_t rows = input.height();
-    const size_t cols = input.width();
-    const size_t oh = outputDim(rows, k, stride, mode);
-    const size_t ow = outputDim(cols, k, stride, mode);
-    const long pad =
-        mode == signal::ConvMode::Same ? static_cast<long>(k / 2) : 0;
-
-    const size_t n = signal::nextPowerOfTwo(cols + k - 1);
-    const auto plan = signal::fftPlanFor(n);
-    const size_t half = plan->halfSpectrumSize();
-
-    const size_t total_macs = n_out * n_in * oh * ow * k * k;
-    const size_t workers =
-        total_macs < signal::kParallelDispatchThreshold ? 1 : 0;
-
-    // Input row spectra, computed once and shared read-only by the
-    // output-channel fan-out. Disjoint writes keep the pass bit-exact
-    // for any worker count.
-    signal::ComplexVector in_spec(n_in * rows * half);
-    signal::parallelFor(n_in * rows, workers, [&](size_t job) {
-        const size_t ic = job / rows;
-        const size_t r = job % rows;
-        // Slot 16: first slot of the nn-engine reserved range (16-19,
-        // see FftWorkspace's slot discipline).
-        std::vector<double> &pad_buf =
-            signal::threadFftWorkspace().realBuffer(16, n);
-        const double *row = input.data().data() +
-                            (ic * rows + r) * cols;
-        std::copy(row, row + cols, pad_buf.begin());
-        std::fill(pad_buf.begin() + cols, pad_buf.end(), 0.0);
-        plan->executeReal(pad_buf.data(), &in_spec[job * half]);
-    });
-
-    Tensor out(n_out, oh, ow);
-    signal::parallelFor(n_out, workers, [&](size_t oc) {
-        EngineScratch &sc = threadEngineScratch();
-        // Kernel-row spectra for this output channel, fetched once
-        // from the shared cache (hits after the first request).
-        sc.specs.resize(n_in * k);
-        sc.kernel_row.resize(k);
-        for (size_t ic = 0; ic < n_in; ++ic) {
-            for (size_t kr = 0; kr < k; ++kr) {
-                for (size_t kc = 0; kc < k; ++kc)
-                    sc.kernel_row[kc] = weights[oc].at(ic, kr, kc);
-                sc.specs[ic * k + kr] =
-                    cache.correlationSpectrum(sc.kernel_row, n);
-            }
-        }
-
-        sc.acc_spec.resize(half);
-        sc.row_time.resize(n);
-        const double b = bias.empty() ? 0.0 : bias[oc];
-        for (size_t r_out = 0; r_out < oh; ++r_out) {
-            std::fill(sc.acc_spec.begin(), sc.acc_spec.end(),
-                      signal::Complex(0.0, 0.0));
-            for (size_t ic = 0; ic < n_in; ++ic) {
-                for (size_t kr = 0; kr < k; ++kr) {
-                    const long r_in =
-                        static_cast<long>(r_out * stride) - pad +
-                        static_cast<long>(kr);
-                    if (r_in < 0 || r_in >= static_cast<long>(rows))
-                        continue;
-                    const signal::Complex *src =
-                        &in_spec[(ic * rows +
-                                  static_cast<size_t>(r_in)) *
-                                 half];
-                    const signal::Complex *ks =
-                        sc.specs[ic * k + kr]->data();
-                    simd::kernels().complexMacInto(
-                        reinterpret_cast<double *>(
-                            sc.acc_spec.data()),
-                        reinterpret_cast<const double *>(src),
-                        reinterpret_cast<const double *>(ks), half);
-                }
-            }
-            plan->executeRealInverse(sc.acc_spec.data(),
-                                     sc.row_time.data());
-            for (size_t c = 0; c < ow; ++c)
-                out.at(oc, r_out, c) =
-                    sc.row_time[static_cast<size_t>(
-                        static_cast<long>(c * stride) - pad +
-                        static_cast<long>(k) - 1)] +
-                    b;
-        }
-        // Release the spectrum handles: the thread_local scratch
-        // outlives this call, and pinned shared_ptrs would keep a
-        // re-registered model's swapped-out cache alive per thread.
-        sc.specs.clear();
-    });
-    return out;
-}
-
-/**
- * Batched fftRowConvolve: the input-row spectra of every request run
- * as ONE dispatch, kernel-row spectra are fetched from the shared
- * cache once for the whole batch (one lookup per (oc, ic, kernel row)
- * instead of one per request), and the accumulation fan-out crosses
- * (request, output channel) pairs. Each request's arithmetic is
- * ordered exactly as fftRowConvolve's, so outs[i] is bit-identical to
- * the solo call.
+ * The frequency-domain conv layer over a batch of same-shape inputs:
+ * input row half-spectra are computed once per (input, channel, row)
+ * in ONE dispatch; each output channel's job fetches its kernel-row
+ * spectra from the shared cache once for the whole batch, and each
+ * output row accumulates its (ic, kernel row) products in the
+ * frequency domain so one c2r finishes the row. Each input's
+ * arithmetic does not depend on the batch, so outs[i] is bit-identical
+ * to a batch of one. Matches the direct path within FFT rounding
+ * (~1e-12 relative).
  */
 void
-fftRowConvolveBatch(const std::vector<Tensor> &inputs,
-                    const std::vector<Tensor> &weights,
-                    const std::vector<double> &bias, size_t stride,
-                    signal::ConvMode mode,
-                    tiling::KernelSpectrumCache &cache,
-                    std::vector<Tensor> &outs)
+fftRowConvolve(std::span<const Tensor> inputs,
+               const std::vector<Tensor> &weights,
+               const std::vector<double> &bias, size_t stride,
+               signal::ConvMode mode, tiling::KernelSpectrumCache &cache,
+               std::span<Tensor> outs)
 {
     const size_t batch = inputs.size();
     const size_t k = weights[0].height();
@@ -267,15 +161,16 @@ fftRowConvolveBatch(const std::vector<Tensor> &inputs,
     const size_t workers =
         total_macs < signal::kParallelDispatchThreshold ? 1 : 0;
 
-    // Row spectra of every request, one fused dispatch. Layout matches
-    // the per-request passes back to back, so the accumulation below
-    // indexes with a request offset and is otherwise unchanged.
+    // Row spectra of every input, one fused dispatch, shared read-only
+    // by the output-channel fan-out. Disjoint writes keep the pass
+    // bit-exact for any worker count.
     signal::ComplexVector in_spec(batch * n_in * rows * half);
     signal::parallelFor(batch * n_in * rows, workers, [&](size_t job) {
         const size_t b = job / (n_in * rows);
         const size_t ic = (job / rows) % n_in;
         const size_t r = job % rows;
-        // Slot 16: nn-engine range, as in the solo path.
+        // Slot 16: first slot of the nn-engine reserved range (16-19,
+        // see FftWorkspace's slot discipline).
         std::vector<double> &pad_buf =
             signal::threadFftWorkspace().realBuffer(16, n);
         const double *row =
@@ -285,66 +180,66 @@ fftRowConvolveBatch(const std::vector<Tensor> &inputs,
         plan->executeReal(pad_buf.data(), &in_spec[job * half]);
     });
 
-    // Kernel-row spectra, fetched once for the whole batch and shared
-    // read-only across the fan-out.
-    std::vector<std::shared_ptr<const signal::ComplexVector>> kspecs(
-        n_out * n_in * k);
-    {
-        std::vector<double> kernel_row(k);
-        for (size_t oc = 0; oc < n_out; ++oc)
-            for (size_t ic = 0; ic < n_in; ++ic)
-                for (size_t kr = 0; kr < k; ++kr) {
-                    for (size_t kc = 0; kc < k; ++kc)
-                        kernel_row[kc] = weights[oc].at(ic, kr, kc);
-                    kspecs[(oc * n_in + ic) * k + kr] =
-                        cache.correlationSpectrum(kernel_row, n);
-                }
-    }
-
-    outs.clear();
-    outs.reserve(batch);
     for (size_t b = 0; b < batch; ++b)
-        outs.emplace_back(n_out, oh, ow);
-    signal::parallelFor(batch * n_out, workers, [&](size_t job) {
-        const size_t b = job / n_out;
-        const size_t oc = job % n_out;
+        outs[b] = Tensor(n_out, oh, ow);
+    signal::parallelFor(n_out, workers, [&](size_t oc) {
         EngineScratch &sc = threadEngineScratch();
+        // Kernel-row spectra for this output channel, fetched once for
+        // the whole batch from the shared cache (hits after the first
+        // request).
+        sc.specs.resize(n_in * k);
+        sc.kernel_row.resize(k);
+        for (size_t ic = 0; ic < n_in; ++ic) {
+            for (size_t kr = 0; kr < k; ++kr) {
+                for (size_t kc = 0; kc < k; ++kc)
+                    sc.kernel_row[kc] = weights[oc].at(ic, kr, kc);
+                sc.specs[ic * k + kr] =
+                    cache.correlationSpectrum(sc.kernel_row, n);
+            }
+        }
+
         sc.acc_spec.resize(half);
         sc.row_time.resize(n);
-        Tensor &out = outs[b];
         const double bv = bias.empty() ? 0.0 : bias[oc];
-        for (size_t r_out = 0; r_out < oh; ++r_out) {
-            std::fill(sc.acc_spec.begin(), sc.acc_spec.end(),
-                      signal::Complex(0.0, 0.0));
-            for (size_t ic = 0; ic < n_in; ++ic) {
-                for (size_t kr = 0; kr < k; ++kr) {
-                    const long r_in =
-                        static_cast<long>(r_out * stride) - pad +
-                        static_cast<long>(kr);
-                    if (r_in < 0 || r_in >= static_cast<long>(rows))
-                        continue;
-                    const signal::Complex *src =
-                        &in_spec[((b * n_in + ic) * rows +
-                                  static_cast<size_t>(r_in)) *
-                                 half];
-                    const signal::Complex *ks =
-                        kspecs[(oc * n_in + ic) * k + kr]->data();
-                    simd::kernels().complexMacInto(
-                        reinterpret_cast<double *>(
-                            sc.acc_spec.data()),
-                        reinterpret_cast<const double *>(src),
-                        reinterpret_cast<const double *>(ks), half);
+        for (size_t b = 0; b < batch; ++b) {
+            Tensor &out = outs[b];
+            for (size_t r_out = 0; r_out < oh; ++r_out) {
+                std::fill(sc.acc_spec.begin(), sc.acc_spec.end(),
+                          signal::Complex(0.0, 0.0));
+                for (size_t ic = 0; ic < n_in; ++ic) {
+                    for (size_t kr = 0; kr < k; ++kr) {
+                        const long r_in =
+                            static_cast<long>(r_out * stride) - pad +
+                            static_cast<long>(kr);
+                        if (r_in < 0 || r_in >= static_cast<long>(rows))
+                            continue;
+                        const signal::Complex *src =
+                            &in_spec[((b * n_in + ic) * rows +
+                                      static_cast<size_t>(r_in)) *
+                                     half];
+                        const signal::Complex *ks =
+                            sc.specs[ic * k + kr]->data();
+                        simd::kernels().complexMacInto(
+                            reinterpret_cast<double *>(
+                                sc.acc_spec.data()),
+                            reinterpret_cast<const double *>(src),
+                            reinterpret_cast<const double *>(ks), half);
+                    }
                 }
+                plan->executeRealInverse(sc.acc_spec.data(),
+                                         sc.row_time.data());
+                for (size_t c = 0; c < ow; ++c)
+                    out.at(oc, r_out, c) =
+                        sc.row_time[static_cast<size_t>(
+                            static_cast<long>(c * stride) - pad +
+                            static_cast<long>(k) - 1)] +
+                        bv;
             }
-            plan->executeRealInverse(sc.acc_spec.data(),
-                                     sc.row_time.data());
-            for (size_t c = 0; c < ow; ++c)
-                out.at(oc, r_out, c) =
-                    sc.row_time[static_cast<size_t>(
-                        static_cast<long>(c * stride) - pad +
-                        static_cast<long>(k) - 1)] +
-                    bv;
         }
+        // Release the spectrum handles: the thread_local scratch
+        // outlives this call, and pinned shared_ptrs would keep a
+        // re-registered model's swapped-out cache alive per thread.
+        sc.specs.clear();
     });
 }
 
@@ -392,57 +287,8 @@ DirectEngine::convolve(const Tensor &input,
                        const std::vector<double> &bias, size_t stride,
                        signal::ConvMode mode) const
 {
-    // One thread_local read when the request is untraced.
-    obs::ScopedSpan span("direct_conv");
-    checkConvShapes(input, weights, bias);
-    const size_t k = weights[0].height();
-    // Catch the degenerate shape before outputDim's size_t arithmetic
-    // wraps: the sliding path would hit conv2dInto's assert anyway,
-    // but the FFT row path must not get as far as allocating a
-    // wrapped-size output.
-    pf_assert(mode != signal::ConvMode::Valid ||
-              (input.height() >= k && input.width() >= k),
-              "conv2d valid: kernel larger than input");
-    const size_t oh = outputDim(input.height(), k, stride, mode);
-    const size_t ow = outputDim(input.width(), k, stride, mode);
-
-    const bool use_fft =
-        path_ == ConvPath::Fft ||
-        (path_ == ConvPath::Auto &&
-         fftRowPathProfitable(input.height(), input.width(), k,
-                              input.channels(), weights.size(), oh,
-                              ow));
-    if (use_fft)
-        return fftRowConvolve(input, weights, bias, stride, mode,
-                              *spectra_);
-
-    // Output channels are independent; fan them across the worker
-    // pool. Each channel's input-channel accumulation keeps its
-    // sequential order, so results are bit-exact vs the serial loop.
-    // Tiny layers run sequentially: below the shared dispatch
-    // threshold a pool publication costs more than the convolution.
-    const size_t total_macs =
-        weights.size() * input.channels() * oh * ow * k * k;
-    const size_t oc_workers =
-        total_macs < signal::kParallelDispatchThreshold ? 1 : 0;
-    Tensor out(weights.size(), oh, ow);
-    signal::parallelFor(weights.size(), oc_workers, [&](size_t oc) {
-        EngineScratch &sc = threadEngineScratch();
-        signal::Matrix &acc = sc.part_p;
-        acc.resize(oh, ow);
-        for (size_t ic = 0; ic < input.channels(); ++ic) {
-            input.channelMatrixInto(ic, sc.in_ch);
-            weights[oc].channelMatrixInto(ic, sc.w_ch);
-            signal::conv2dInto(sc.in_ch, sc.w_ch, mode, stride,
-                               sc.part_n);
-            for (size_t i = 0; i < acc.data.size(); ++i)
-                acc.data[i] += sc.part_n.data[i];
-        }
-        const double b = bias.empty() ? 0.0 : bias[oc];
-        for (size_t i = 0; i < acc.data.size(); ++i)
-            acc.data[i] += b;
-        out.setChannel(oc, acc);
-    });
+    Tensor out;
+    convolveInputs({&input, 1}, weights, bias, stride, mode, {&out, 1});
     return out;
 }
 
@@ -452,39 +298,82 @@ DirectEngine::convolveBatch(const std::vector<Tensor> &inputs,
                             const std::vector<double> &bias,
                             size_t stride, signal::ConvMode mode) const
 {
-    if (inputs.empty())
-        return {};
-    // Fusing pays on the frequency path (shared dispatch, one kernel
-    // fetch); a single request or a mixed-shape batch gains nothing,
-    // so keep those on the solo code path unchanged.
-    if (inputs.size() == 1 || !uniformBatchShape(inputs))
+    if (!uniformBatchShape(inputs))
         return ConvEngine::convolveBatch(inputs, weights, bias, stride,
                                          mode);
-    obs::ScopedSpan span("direct_conv_batch");
-    checkConvShapes(inputs[0], weights, bias);
+    std::vector<Tensor> outs(inputs.size());
+    convolveInputs(inputs, weights, bias, stride, mode, outs);
+    return outs;
+}
+
+void
+DirectEngine::convolveInputs(std::span<const Tensor> inputs,
+                             const std::vector<Tensor> &weights,
+                             const std::vector<double> &bias,
+                             size_t stride, signal::ConvMode mode,
+                             std::span<Tensor> outs) const
+{
+    if (inputs.empty())
+        return;
+    // One thread_local read when the request is untraced.
+    obs::ScopedSpan span("direct_conv");
+    const Tensor &first = inputs[0];
+    checkConvShapes(first, weights, bias);
     const size_t k = weights[0].height();
+    // Catch the degenerate shape before outputDim's size_t arithmetic
+    // wraps: the sliding path would hit conv2dInto's assert anyway,
+    // but the FFT row path must not get as far as allocating a
+    // wrapped-size output.
     pf_assert(mode != signal::ConvMode::Valid ||
-                  (inputs[0].height() >= k && inputs[0].width() >= k),
+              (first.height() >= k && first.width() >= k),
               "conv2d valid: kernel larger than input");
-    const size_t oh = outputDim(inputs[0].height(), k, stride, mode);
-    const size_t ow = outputDim(inputs[0].width(), k, stride, mode);
-    // The crossover is a pure function of the (shared) shape, so the
-    // whole batch takes one path — exactly the path each request
-    // would have taken solo.
+    const size_t oh = outputDim(first.height(), k, stride, mode);
+    const size_t ow = outputDim(first.width(), k, stride, mode);
+
+    // The crossover is a pure function of the (shared) shape, so every
+    // input takes the path it would take alone.
     const bool use_fft =
         path_ == ConvPath::Fft ||
         (path_ == ConvPath::Auto &&
-         fftRowPathProfitable(inputs[0].height(), inputs[0].width(), k,
-                              inputs[0].channels(), weights.size(), oh,
-                              ow));
-    if (!use_fft)
-        // The sliding path shares nothing across requests; loop.
-        return ConvEngine::convolveBatch(inputs, weights, bias, stride,
-                                         mode);
-    std::vector<Tensor> outs;
-    fftRowConvolveBatch(inputs, weights, bias, stride, mode, *spectra_,
-                        outs);
-    return outs;
+         fftRowPathProfitable(first.height(), first.width(), k,
+                              first.channels(), weights.size(), oh, ow));
+    if (use_fft) {
+        fftRowConvolve(inputs, weights, bias, stride, mode, *spectra_,
+                       outs);
+        return;
+    }
+
+    // The sliding path shares nothing across inputs: per input, fan
+    // the independent output channels across the worker pool. Each
+    // channel's input-channel accumulation keeps its sequential order,
+    // so results are bit-exact vs the serial loop. Tiny layers run
+    // sequentially: below the shared dispatch threshold a pool
+    // publication costs more than the convolution.
+    const size_t total_macs =
+        weights.size() * first.channels() * oh * ow * k * k;
+    const size_t oc_workers =
+        total_macs < signal::kParallelDispatchThreshold ? 1 : 0;
+    for (size_t b = 0; b < inputs.size(); ++b) {
+        const Tensor &input = inputs[b];
+        Tensor &out = outs[b] = Tensor(weights.size(), oh, ow);
+        signal::parallelFor(weights.size(), oc_workers, [&](size_t oc) {
+            EngineScratch &sc = threadEngineScratch();
+            signal::Matrix &acc = sc.part_p;
+            acc.resize(oh, ow);
+            for (size_t ic = 0; ic < input.channels(); ++ic) {
+                input.channelMatrixInto(ic, sc.in_ch);
+                weights[oc].channelMatrixInto(ic, sc.w_ch);
+                signal::conv2dInto(sc.in_ch, sc.w_ch, mode, stride,
+                                   sc.part_n);
+                for (size_t i = 0; i < acc.data.size(); ++i)
+                    acc.data[i] += sc.part_n.data[i];
+            }
+            const double b = bias.empty() ? 0.0 : bias[oc];
+            for (size_t i = 0; i < acc.data.size(); ++i)
+                acc.data[i] += b;
+            out.setChannel(oc, acc);
+        });
+    }
 }
 
 PhotoFourierEngine::PhotoFourierEngine(
@@ -582,22 +471,9 @@ PhotoFourierEngine::convolve(const Tensor &input,
                              size_t stride,
                              signal::ConvMode mode) const
 {
-    obs::ScopedSpan span("photonic_conv");
-    checkConvShapes(input, weights, bias);
-    pf_assert(input.height() == input.width(),
-              "PhotoFourier engine expects square feature maps");
-    const PreparedLayer prep = prepareLayer(weights);
-    tiling::TilingParams params{
-        .input_size = input.height(),
-        .kernel_size = weights[0].height(),
-        .n_conv = config_.n_conv,
-        .mode = mode,
-        .stride = stride,
-        .zero_pad_rows = config_.zero_pad_rows,
-    };
-    tiling::TiledConvolution tiled(params,
-                                   selectConvBackend(config_, spectra_));
-    return convolvePrepared(input, prep, tiled, bias, stride, mode);
+    Tensor out;
+    convolveInputs({&input, 1}, weights, bias, stride, mode, {&out, 1});
+    return out;
 }
 
 std::vector<Tensor>
@@ -607,22 +483,30 @@ PhotoFourierEngine::convolveBatch(const std::vector<Tensor> &inputs,
                                   size_t stride,
                                   signal::ConvMode mode) const
 {
-    if (inputs.empty())
-        return {};
-    // A mixed-shape batch can't share one tiling plan; loop (the
-    // serving layer groups per model, so this is API-misuse fallback,
-    // not a hot path).
     if (!uniformBatchShape(inputs))
         return ConvEngine::convolveBatch(inputs, weights, bias, stride,
                                          mode);
-    obs::ScopedSpan span("photonic_conv_batch");
+    std::vector<Tensor> outs(inputs.size());
+    convolveInputs(inputs, weights, bias, stride, mode, outs);
+    return outs;
+}
+
+void
+PhotoFourierEngine::convolveInputs(std::span<const Tensor> inputs,
+                                   const std::vector<Tensor> &weights,
+                                   const std::vector<double> &bias,
+                                   size_t stride, signal::ConvMode mode,
+                                   std::span<Tensor> outs) const
+{
+    if (inputs.empty())
+        return;
+    obs::ScopedSpan span("photonic_conv");
     checkConvShapes(inputs[0], weights, bias);
     pf_assert(inputs[0].height() == inputs[0].width(),
               "PhotoFourier engine expects square feature maps");
     // Weight quantization, the (p, n) split, and the tiling plan are
     // input-independent: build them once, share them read-only across
-    // the batch. Everything per-request runs in convolvePrepared,
-    // identical to a solo convolve.
+    // the inputs. Everything per-input runs in convolvePrepared.
     const PreparedLayer prep = prepareLayer(weights);
     tiling::TilingParams params{
         .input_size = inputs[0].height(),
@@ -634,12 +518,9 @@ PhotoFourierEngine::convolveBatch(const std::vector<Tensor> &inputs,
     };
     tiling::TiledConvolution tiled(params,
                                    selectConvBackend(config_, spectra_));
-    std::vector<Tensor> outs;
-    outs.reserve(inputs.size());
-    for (const Tensor &input : inputs)
-        outs.push_back(
-            convolvePrepared(input, prep, tiled, bias, stride, mode));
-    return outs;
+    for (size_t b = 0; b < inputs.size(); ++b)
+        outs[b] = convolvePrepared(inputs[b], prep, tiled, bias, stride,
+                                   mode);
 }
 
 Tensor

@@ -20,6 +20,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -95,8 +96,9 @@ class ConvEngine
      * quantization, kernel-spectrum lookups, tiling plans, fused
      * transform dispatches), never change per-request numerics. The
      * base implementation loops convolve (correct for any third-party
-     * engine); DirectEngine and PhotoFourierEngine override with
-     * fused versions.
+     * engine). DirectEngine and PhotoFourierEngine keep one body per
+     * engine, over a span of inputs: convolve is that body with one
+     * input, convolveBatch with the whole (same-shape) batch.
      */
     virtual std::vector<Tensor>
     convolveBatch(const std::vector<Tensor> &inputs,
@@ -106,6 +108,14 @@ class ConvEngine
 
     /** Engine name for logs. */
     virtual std::string name() const = 0;
+
+    /** The kernel-spectrum cache this engine reads, or null if it
+     *  keeps none (serving folds it into its pf_cache_* gauges). */
+    virtual std::shared_ptr<tiling::KernelSpectrumCache>
+    spectrumCache() const
+    {
+        return nullptr;
+    }
 };
 
 /** Floating-point reference engine (direct 2D sliding window, with an
@@ -143,13 +153,22 @@ class DirectEngine : public ConvEngine
     std::string name() const override { return "direct"; }
 
     /** The kernel-spectrum cache this engine populates and reads. */
-    const std::shared_ptr<tiling::KernelSpectrumCache> &
-    spectrumCache() const
+    std::shared_ptr<tiling::KernelSpectrumCache>
+    spectrumCache() const override
     {
         return spectra_;
     }
 
   private:
+    /** The one body of convolve and convolveBatch: outs[i] (sized
+     *  like inputs, all one shape) receives the layer's output for
+     *  inputs[i]. */
+    void convolveInputs(std::span<const Tensor> inputs,
+                        const std::vector<Tensor> &weights,
+                        const std::vector<double> &bias, size_t stride,
+                        signal::ConvMode mode,
+                        std::span<Tensor> outs) const;
+
     std::shared_ptr<tiling::KernelSpectrumCache> spectra_;
     ConvPath path_;
 };
@@ -236,8 +255,8 @@ class PhotoFourierEngine : public ConvEngine
      *  tiled-convolution plan/backend — runs once for all N inputs.
      *  Per-request numerics (activation quantization, the per-call
      *  noise key, ADC calibration) stay per input, so outs[i] is
-     *  bit-identical to solo convolve(inputs[i], ...) even with
-     *  sensing noise on. */
+     *  bit-identical to convolve(inputs[i], ...) even with sensing
+     *  noise on. */
     std::vector<Tensor>
     convolveBatch(const std::vector<Tensor> &inputs,
                   const std::vector<Tensor> &weights,
@@ -250,17 +269,26 @@ class PhotoFourierEngine : public ConvEngine
     const PhotoFourierEngineConfig &config() const { return config_; }
 
     /** The kernel-spectrum cache this engine populates and reads. */
-    const std::shared_ptr<tiling::KernelSpectrumCache> &
-    spectrumCache() const
+    std::shared_ptr<tiling::KernelSpectrumCache>
+    spectrumCache() const override
     {
         return spectra_;
     }
 
   private:
+    /** The one body of convolve and convolveBatch: the weight prep
+     *  and tiling plan are built once, then every input runs
+     *  convolvePrepared. outs is sized like inputs (all one shape). */
+    void convolveInputs(std::span<const Tensor> inputs,
+                        const std::vector<Tensor> &weights,
+                        const std::vector<double> &bias, size_t stride,
+                        signal::ConvMode mode,
+                        std::span<Tensor> outs) const;
+
     /** Everything input-independent that convolve() sets up before
      *  touching activations: the DAC-quantized weights and their
-     *  pseudo-negative (p, n) split. Built once per convolveBatch and
-     *  shared read-only by every request. */
+     *  pseudo-negative (p, n) split. Built once per call and shared
+     *  read-only by every input. */
     struct PreparedLayer;
 
     /** Quantize `weights` through the layer-range DAC and split the
@@ -270,8 +298,8 @@ class PhotoFourierEngine : public ConvEngine
 
     /** The per-input tail of convolve(): activation quantization,
      *  per-call noise key, group charges, ADC readout. Pure function
-     *  of (input, prepared state), so batched and solo calls are
-     *  bit-identical by construction. */
+     *  of (input, prepared state), so an input's output does not
+     *  depend on the batch it rides in. */
     Tensor convolvePrepared(const Tensor &input,
                             const PreparedLayer &prep,
                             const tiling::TiledConvolution &tiled,

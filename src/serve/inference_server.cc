@@ -1,5 +1,6 @@
 #include "serve/inference_server.hh"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/logging.hh"
@@ -101,10 +102,22 @@ InferenceServer::bindMetrics()
     // per lookup: the spectrum caches already count hits/misses, so a
     // collector folding them into gauges costs the hot path nothing.
     cache_collector_id_ = r.addCollector([this](obs::MetricsRegistry &reg) {
+        // Every distinct cache once: the registry's per-model caches
+        // and the caches of the workers' factory engines, which may be
+        // shared among workers or with the registry.
+        std::vector<std::shared_ptr<tiling::KernelSpectrumCache>> caches;
+        {
+            std::lock_guard<std::mutex> lock(engine_caches_mutex_);
+            caches = engine_caches_;
+        }
+        for (const std::string &name : registry_.names())
+            caches.push_back(registry_.spectrumCache(name));
+        std::sort(caches.begin(), caches.end());
+        caches.erase(std::unique(caches.begin(), caches.end()),
+                     caches.end());
         tiling::KernelSpectrumCache::Stats kernel;
         signal::PlaneSpectrumCache::Stats optical;
-        for (const std::string &name : registry_.names()) {
-            auto cache = registry_.spectrumCache(name);
+        for (const auto &cache : caches) {
             if (!cache)
                 continue;
             const auto k = cache->stats();
@@ -204,6 +217,10 @@ InferenceServer::workerLoop(size_t id)
     std::shared_ptr<const nn::ConvEngine> engine;
     if (config_.engine_factory)
         engine = config_.engine_factory(id);
+    if (auto cache = engine ? engine->spectrumCache() : nullptr) {
+        std::lock_guard<std::mutex> lock(engine_caches_mutex_);
+        engine_caches_.push_back(std::move(cache));
+    }
     std::map<std::string, ModelRegistry::Replica> replicas;
 
     for (;;) {
@@ -247,109 +264,47 @@ InferenceServer::workerLoop(size_t id)
             ++s.batches;
             s.batched_requests += batch.size();
         }
-        if (batch.size() > 1) {
-            // Fused micro-batch: the whole dequeue runs as ONE
-            // Network::logitsBatch call, so every conv layer amortizes
-            // its weight prep, spectrum fetches, and transform
-            // dispatches across the batch. Results are bit-identical
-            // to the per-request loop below (the Layer/ConvEngine
-            // batch contract), including photonic sensing noise —
-            // noise streams derive from (seed, activations, weights),
-            // never from shared engine state. The engine window is
-            // shared, so each request's engine stage is attributed its
-            // 1/N share; engine-internal spans are not recorded for
-            // traced requests here (the ids differ per request, and a
-            // fused dispatch has no single owner to bind).
+        // The whole dequeue runs as ONE Network::logitsBatch call, so
+        // every conv layer amortizes its weight prep, spectrum
+        // fetches, and transform dispatches across the batch. Results
+        // are bit-identical to per-request Network::logits (the
+        // Layer/ConvEngine batch contract), including photonic
+        // sensing noise — noise streams derive from (seed,
+        // activations, weights), never from shared engine state. A
+        // batch of one binds its request's trace id to this thread,
+        // so ScopedSpans inside the conv engines record into the
+        // server's sink; a fused batch has no single owner to bind
+        // (the ids differ per request), so its engine-internal spans
+        // are not recorded. The engine window is shared, so each
+        // request's engine stage is attributed its 1/N share.
+        if (batch.size() > 1)
             metric_.fused_batches->inc();
-            std::vector<nn::Tensor> inputs;
-            inputs.reserve(batch.size());
-            for (auto &request : batch)
-                inputs.push_back(std::move(request.input));
-            const auto t_engine_start = Clock::now();
-            std::vector<std::vector<double>> all_logits =
-                net.logitsBatch(inputs);
-            const auto t_engine_end = Clock::now();
-            const double engine_share_us =
-                std::chrono::duration<double, std::micro>(
-                    t_engine_end - t_engine_start)
-                    .count() /
-                static_cast<double>(batch.size());
-            for (size_t i = 0; i < batch.size(); ++i) {
-                auto &request = batch[i];
-                const auto enqueued = request.completion->enqueued;
-                const double latency_us =
-                    std::chrono::duration<double, std::micro>(
-                        t_engine_end - enqueued)
-                        .count();
-                {
-                    std::lock_guard<std::mutex> lock(stats_mutex_);
-                    auto &s = stats_[model];
-                    ++s.completed;
-                    s.latency_us.add(latency_us);
-                }
-                metric_.completed->inc();
-                metric_.latency_us->record(latency_us);
-                metric_.stage_queue_us->record(
-                    std::chrono::duration<double, std::micro>(t_pop -
-                                                              enqueued)
-                        .count());
-                metric_.stage_batch_us->record(
-                    std::chrono::duration<double, std::micro>(
-                        t_engine_start - t_pop)
-                        .count());
-                metric_.stage_engine_us->record(engine_share_us);
-                request.completion->fulfill(RequestStatus::Done,
-                                            std::move(all_logits[i]),
-                                            {});
-                const auto t_done = Clock::now();
-                metric_.stage_complete_us->record(
-                    std::chrono::duration<double, std::micro>(
-                        t_done - t_engine_end)
-                        .count());
-                if (request.trace_id != 0) {
-                    obs::recordSpan(request.trace_id, "request", 0,
-                                    toNs(enqueued),
-                                    spanNs(enqueued, t_done),
-                                    trace_sink_);
-                    obs::recordSpan(request.trace_id, "queue", 1,
-                                    toNs(enqueued),
-                                    spanNs(enqueued, t_pop),
-                                    trace_sink_);
-                    obs::recordSpan(request.trace_id, "batch", 1,
-                                    toNs(t_pop),
-                                    spanNs(t_pop, t_engine_start),
-                                    trace_sink_);
-                    // The fused engine window, shared by the batch.
-                    obs::recordSpan(request.trace_id, "engine", 1,
-                                    toNs(t_engine_start),
-                                    spanNs(t_engine_start, t_engine_end),
-                                    trace_sink_);
-                    obs::recordSpan(request.trace_id, "complete", 1,
-                                    toNs(t_engine_end),
-                                    spanNs(t_engine_end, t_done),
-                                    trace_sink_);
-                }
-            }
-            queue_.markDone(batch.size());
-            continue;
+        std::vector<nn::Tensor> inputs;
+        inputs.reserve(batch.size());
+        for (auto &request : batch)
+            inputs.push_back(std::move(request.input));
+        const auto t_engine_start = Clock::now();
+        std::vector<std::vector<double>> all_logits;
+        {
+            obs::TraceBinding bind(
+                batch.size() == 1 ? batch.front().trace_id : 0,
+                trace_sink_);
+            all_logits = net.logitsBatch(inputs);
         }
-        for (auto &request : batch) {
-            const auto t_engine_start = Clock::now();
-            std::vector<double> logits;
-            {
-                // Traced requests (trace_id != 0) bind the id to this
-                // thread so ScopedSpans inside the conv engines record
-                // into the server's sink; for untraced requests the
-                // binding makes every ScopedSpan a no-op.
-                obs::TraceBinding bind(request.trace_id, trace_sink_);
-                logits = net.logits(request.input);
-            }
-            const auto t_engine_end = Clock::now();
+        const auto t_engine_end = Clock::now();
+        const double engine_share_us =
+            std::chrono::duration<double, std::micro>(t_engine_end -
+                                                      t_engine_start)
+                .count() /
+            static_cast<double>(batch.size());
+        for (size_t i = 0; i < batch.size(); ++i) {
+            auto &request = batch[i];
+            const auto enqueued = request.completion->enqueued;
             // Stats before fulfill: a client that has observed Done
             // must find its request counted by any later report().
             const double latency_us =
-                std::chrono::duration<double, std::micro>(
-                    t_engine_end - request.completion->enqueued)
+                std::chrono::duration<double, std::micro>(t_engine_end -
+                                                          enqueued)
                     .count();
             {
                 std::lock_guard<std::mutex> lock(stats_mutex_);
@@ -357,23 +312,18 @@ InferenceServer::workerLoop(size_t id)
                 ++s.completed;
                 s.latency_us.add(latency_us);
             }
-            const auto enqueued = request.completion->enqueued;
             metric_.completed->inc();
             metric_.latency_us->record(latency_us);
             metric_.stage_queue_us->record(
-                std::chrono::duration<double, std::micro>(t_pop -
-                                                          enqueued)
+                std::chrono::duration<double, std::micro>(t_pop - enqueued)
                     .count());
             metric_.stage_batch_us->record(
-                std::chrono::duration<double, std::micro>(
-                    t_engine_start - t_pop)
+                std::chrono::duration<double, std::micro>(t_engine_start -
+                                                          t_pop)
                     .count());
-            metric_.stage_engine_us->record(
-                std::chrono::duration<double, std::micro>(
-                    t_engine_end - t_engine_start)
-                    .count());
+            metric_.stage_engine_us->record(engine_share_us);
             request.completion->fulfill(RequestStatus::Done,
-                                        std::move(logits), {});
+                                        std::move(all_logits[i]), {});
             const auto t_done = Clock::now();
             metric_.stage_complete_us->record(
                 std::chrono::duration<double, std::micro>(t_done -
@@ -389,6 +339,7 @@ InferenceServer::workerLoop(size_t id)
                 obs::recordSpan(request.trace_id, "batch", 1,
                                 toNs(t_pop), spanNs(t_pop, t_engine_start),
                                 trace_sink_);
+                // The engine window, shared by a fused batch.
                 obs::recordSpan(request.trace_id, "engine", 1,
                                 toNs(t_engine_start),
                                 spanNs(t_engine_start, t_engine_end),

@@ -230,6 +230,12 @@ class InferenceServer
     MetricHandles metric_;
     uint64_t cache_collector_id_ = 0;
 
+    /** Kernel-spectrum caches of the workers' factory engines, read
+     *  by the pf_cache_* collector (one entry per worker). */
+    std::mutex engine_caches_mutex_;
+    std::vector<std::shared_ptr<tiling::KernelSpectrumCache>>
+        engine_caches_;
+
     mutable std::mutex stats_mutex_;
     std::map<std::string, ModelStats> stats_;
     std::atomic<uint64_t> unknown_model_failures_{0};

@@ -108,75 +108,13 @@ Fft2dPlan::executeInto(const ComplexMatrix &in, ComplexMatrix &out,
 void
 Fft2dPlan::forwardReal(const double *in, Complex *half) const
 {
-    pf_assert(in != nullptr && half != nullptr,
-              "Fft2dPlan::forwardReal on null data");
-    const size_t hc = halfCols();
-
-    // Row pass: one r2c per row, straight into the half matrix.
-    if (rows_ * cols_ < kParallelDispatchThreshold ||
-        defaultFftThreads() <= 1) {
-        for (size_t r = 0; r < rows_; ++r)
-            row_plan_->executeReal(in + r * cols_, half + r * hc);
-    } else {
-        struct Job
-        {
-            const FftPlan *plan;
-            const double *in;
-            Complex *half;
-            size_t cols, hc;
-        } job{row_plan_.get(), in, half, cols_, hc};
-        parallelFor(rows_, 0, [&job](size_t r) {
-            job.plan->executeReal(job.in + r * job.cols,
-                                  job.half + r * job.hc);
-        });
-    }
-
-    // Column pass over the hc half-columns (full complex transforms
-    // of length rows — every kr is needed even for a real input).
-    ComplexVector &t =
-        threadFftWorkspace().complexBuffer(kSlotTranspose, rows_ * hc);
-    transposeInto(half, rows_, hc, t.data());
-    rowBatch(*col_plan_, t.data(), hc, /*inverse=*/false);
-    transposeInto(t.data(), hc, rows_, half);
+    forwardRealBatchInto(in, 1, half);
 }
 
 void
 Fft2dPlan::inverseReal(const Complex *half, double *out) const
 {
-    pf_assert(half != nullptr && out != nullptr,
-              "Fft2dPlan::inverseReal on null data");
-    const size_t hc = halfCols();
-    FftWorkspace &ws = threadFftWorkspace();
-
-    // Column pass: inverse transforms (with their 1/rows) along the
-    // stored half-columns.
-    ComplexVector &t = ws.complexBuffer(kSlotTranspose, rows_ * hc);
-    transposeInto(half, rows_, hc, t.data());
-    rowBatch(*col_plan_, t.data(), hc, /*inverse=*/true);
-    ComplexVector &h2 = ws.complexBuffer(kSlotHalfScratch, rows_ * hc);
-    transposeInto(t.data(), hc, rows_, h2.data());
-
-    // Row pass: each row of the intermediate is the Hermitian half-
-    // spectrum of the corresponding real output row; c2r (with its
-    // 1/cols) finishes the 1/(rows*cols) normalization.
-    if (rows_ * cols_ < kParallelDispatchThreshold ||
-        defaultFftThreads() <= 1) {
-        for (size_t r = 0; r < rows_; ++r)
-            row_plan_->executeRealInverse(h2.data() + r * hc,
-                                          out + r * cols_);
-    } else {
-        struct Job
-        {
-            const FftPlan *plan;
-            const Complex *h2;
-            double *out;
-            size_t cols, hc;
-        } job{row_plan_.get(), h2.data(), out, cols_, hc};
-        parallelFor(rows_, 0, [&job](size_t r) {
-            job.plan->executeRealInverse(job.h2 + r * job.hc,
-                                         job.out + r * job.cols);
-        });
-    }
+    inverseRealBatchInto(half, 1, out);
 }
 
 void

@@ -86,49 +86,41 @@ class Fft2dPlan
                      bool inverse) const;
 
     /**
-     * Forward 2D DFT of rows() x cols() real samples into the
-     * rows() x halfCols() Hermitian half-spectrum: out[kr][kc] =
-     * F[kr][kc] for kc <= cols/2, with the full spectrum recoverable
-     * as F[kr][cols-kc] = conj(F[(rows-kr) % rows][kc]). Runs the
-     * r2c packing along rows (half the work of the complex path).
-     * `in` and `half` must not overlap.
-     */
-    void forwardReal(const double *in, Complex *half) const;
-
-    /**
-     * Inverse of forwardReal: consume a rows() x halfCols()
-     * half-spectrum (assumed Hermitian in the sense above — only the
-     * stored bins are read) and produce rows() x cols() real
-     * samples, 1/(rows*cols)-normalized. `half` and `out` must not
-     * overlap.
-     */
-    void inverseReal(const Complex *half, double *out) const;
-
-    /**
-     * Batched forwardReal over `count` contiguous planes: plane i
+     * Forward 2D DFT of `count` contiguous rows() x cols() real planes
+     * into their rows() x halfCols() Hermitian half-spectra: plane i
      * occupies in + i*rows()*cols() and lands at
-     * half + i*rows()*halfCols(). Bit-exact vs `count` forwardReal
-     * calls (the per-plane arithmetic is identical); what the batch
-     * buys is fusion — the row passes of all planes run as one
-     * dispatch, and the column passes of all planes share a single
-     * transpose pair and one rowBatch of count*halfCols() column
-     * transforms (the stacked (count*rows) x halfCols matrix IS the
-     * concatenation of the per-plane half matrices, so one blocked
-     * transpose serves every plane). Allocation-free in steady state;
+     * half + i*rows()*halfCols(), with out[kr][kc] = F[kr][kc] for
+     * kc <= cols/2 and the full spectrum recoverable as
+     * F[kr][cols-kc] = conj(F[(rows-kr) % rows][kc]). Rows run the r2c
+     * packing (half the work of the complex path), fused across planes
+     * into one dispatch; the column passes of all planes share one
+     * transpose pair and one rowBatch of count*halfCols() transforms
+     * (the stacked (count*rows) x halfCols matrix IS the concatenation
+     * of the per-plane half matrices). The per-plane arithmetic does
+     * not depend on count, so a plane's spectrum is bit-identical
+     * whatever batch it rides in. Allocation-free in steady state;
      * `in` and `half` must not overlap.
      */
     void forwardRealBatchInto(const double *in, size_t count,
                               Complex *half) const;
 
     /**
-     * Batched inverseReal over `count` contiguous half-spectra
-     * (layout as in forwardRealBatchInto): one transpose pair and one
-     * fused column batch for all planes, then one row-pass dispatch of
-     * count*rows() c2r transforms. Bit-exact vs `count` inverseReal
-     * calls; allocation-free in steady state.
+     * Inverse of forwardRealBatchInto: consume `count` contiguous
+     * half-spectra (assumed Hermitian in the sense above — only the
+     * stored bins are read) and produce `count` real planes,
+     * 1/(rows*cols)-normalized. One transpose pair and one fused
+     * column batch serve all planes, then one row-pass dispatch of
+     * count*rows() c2r transforms. Allocation-free in steady state;
+     * `half` and `out` must not overlap.
      */
     void inverseRealBatchInto(const Complex *half, size_t count,
                               double *out) const;
+
+    /** One plane: forwardRealBatchInto with count = 1. */
+    void forwardReal(const double *in, Complex *half) const;
+
+    /** One plane: inverseRealBatchInto with count = 1. */
+    void inverseReal(const Complex *half, double *out) const;
 
     /** Matrix wrapper: `half` is resized to rows() x halfCols(). */
     void forwardRealInto(const Matrix &in, ComplexMatrix &half) const;

@@ -37,6 +37,7 @@
 #include <functional>
 #include <memory>
 #include <shared_mutex>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -52,6 +53,29 @@ namespace signal {
  */
 uint64_t planeSpectrumSalt(uint64_t value,
                            uint64_t seed = 0xcbf29ce484222325ull);
+
+/**
+ * The cache payload of a bank of static operands: their bytes end to
+ * end, `bytes(op)` naming each operand's std::vector<double>. A bank of
+ * one is its operand's own vector, so a lone kernel is keyed on its
+ * bytes without a copy; larger banks concatenate into per-thread
+ * scratch (valid until this thread's next call), so warm lookups stay
+ * allocation-free.
+ */
+template <class Operand, class Bytes>
+const std::vector<double> &
+bankPayload(std::span<const Operand> bank, Bytes bytes)
+{
+    if (bank.size() == 1)
+        return std::invoke(bytes, bank[0]);
+    static thread_local std::vector<double> payload;
+    payload.clear();
+    for (const Operand &op : bank) {
+        const std::vector<double> &b = std::invoke(bytes, op);
+        payload.insert(payload.end(), b.begin(), b.end());
+    }
+    return payload;
+}
 
 /** Content-addressed store of transformed static planes. */
 class PlaneSpectrumCache

@@ -10,6 +10,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <type_traits>
 
 #include "arch/accel_config.hh"
 #include "arch/area_model.hh"
@@ -95,13 +97,28 @@ TEST(AreaModel, NgSamePfcuCountAsCgIsSmaller)
     EXPECT_LT(ng.pfcuAreaMm2(256), 0.6 * cg.pfcuAreaMm2(256));
 }
 
-/** Table III column check: max waveguides under 100 mm^2. */
+/**
+ * Table III column check: max waveguides under 100 mm^2.
+ *
+ * GoogleTest names each case by the raw bytes of its parameter, so the
+ * struct carries an explicit zero field where the compiler would put
+ * padding; uninitialised padding made the case names vary from build
+ * to build.
+ */
 struct BudgetCase
 {
+    BudgetCase(ph::Generation g, size_t n, size_t w)
+        : gen(g), n_pfcus(n), paper_waveguides(w)
+    {
+    }
+
     ph::Generation gen;
+    std::uint32_t zero = 0;
     size_t n_pfcus;
     size_t paper_waveguides;
 };
+static_assert(std::has_unique_object_representations_v<BudgetCase>,
+              "BudgetCase must have no padding bytes");
 
 class AreaBudgetTest : public ::testing::TestWithParam<BudgetCase>
 {

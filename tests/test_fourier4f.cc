@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <thread>
@@ -21,6 +22,7 @@
 #include "common/stats.hh"
 #include "fourier4f/jtc2d.hh"
 #include "fourier4f/system4f.hh"
+#include "jtc/jtc_system.hh"
 #include "signal/fft2d.hh"
 #include "signal/fft2d_plan.hh"
 #include "tiling/backends.hh"
@@ -29,6 +31,7 @@
 namespace pf = photofourier;
 namespace sig = photofourier::signal;
 namespace f4 = photofourier::fourier4f;
+namespace jtc = photofourier::jtc;
 
 namespace {
 
@@ -613,6 +616,9 @@ TEST(OpticalSpectrumCache, SharedCacheIsRaceFreeAndExact)
 
 TEST(Fft2dPlan, BatchRealMatchesSoloAcrossGeometries)
 {
+    // A batch of k planes against k one-plane calls (bit-exact: the
+    // per-plane arithmetic does not depend on the batch) and against
+    // the complex fft2d reference (independent of the real path).
     pf::Rng rng(40);
     for (auto [rows, cols] : kRealPathGeometries) {
         const auto plan = sig::fft2dPlanFor(rows, cols);
@@ -624,15 +630,27 @@ TEST(Fft2dPlan, BatchRealMatchesSoloAcrossGeometries)
             plan->forwardRealBatchInto(planes.data(), count,
                                        half.data());
 
-            // Forward: bit-exact per plane vs the solo transform.
+            // Forward: bit-exact per plane vs a one-plane transform,
+            // and within 1e-9 of the complex transform's stored bins.
             sig::ComplexVector solo_half(rows * hc);
             for (size_t i = 0; i < count; ++i) {
                 plan->forwardReal(&planes[i * rows * cols],
                                   solo_half.data());
-                for (size_t j = 0; j < rows * hc; ++j)
+                sig::Matrix plane(rows, cols);
+                std::copy(planes.begin() + i * rows * cols,
+                          planes.begin() + (i + 1) * rows * cols,
+                          plane.data.begin());
+                const auto full = sig::fft2d(sig::toComplex(plane));
+                for (size_t j = 0; j < rows * hc; ++j) {
                     EXPECT_EQ(half[i * rows * hc + j], solo_half[j])
                         << rows << "x" << cols << " plane " << i
                         << " bin " << j;
+                    EXPECT_LT(std::abs(half[i * rows * hc + j] -
+                                       full.at(j / hc, j % hc)),
+                              1e-9)
+                        << rows << "x" << cols << " plane " << i
+                        << " bin " << j;
+                }
             }
 
             // Inverse: bit-exact per plane, and round-trips.
@@ -657,10 +675,12 @@ TEST(Fft2dPlan, BatchRealMatchesSoloAcrossGeometries)
 
 TEST(System4f, ApplyBatchMatchesSoloBitExact)
 {
+    // A bank of k filters against k one-filter applies (bit-exact)
+    // and against the complex-path reference4fConvolve.
     pf::Rng rng(41);
     const auto image = randomMatrix(rng, 12, 12, -1.0, 1.0);
     // Quantized modulators too: the filter bank must program each
-    // filter exactly as the solo path does.
+    // filter exactly as a bank of one does.
     for (const f4::System4fConfig config :
          {f4::System4fConfig{}, f4::System4fConfig{6, 6}}) {
         f4::System4f system(config);
@@ -676,6 +696,11 @@ TEST(System4f, ApplyBatchMatchesSoloBitExact)
             for (size_t j = 0; j < count; ++j) {
                 system.apply(image, kernels[j], solo);
                 EXPECT_EQ(sig::matrixMaxAbsDiff(outs[j], solo), 0.0)
+                    << "bits=" << config.amplitude_bits << " kernel "
+                    << j;
+                const auto ref =
+                    reference4fConvolve(system, image, kernels[j]);
+                EXPECT_LT(sig::matrixMaxAbsDiff(outs[j], ref), 1e-9)
                     << "bits=" << config.amplitude_bits << " kernel "
                     << j;
             }
@@ -707,13 +732,13 @@ TEST(System4f, FilterBankIsOneCacheEntry)
 
 TEST(Jtc2d, DesignBatchGeometry)
 {
-    // kernel_count == 1 must be the classic layout (bit-identical
-    // batch-of-1: same plane, same cached spectra).
-    const auto solo = f4::Jtc2dLayout::design(9, 9, 3, 3);
+    // kernel_count == 1 must be the classic layout (a lone kernel is
+    // a bank of one: same plane, same cached spectra).
+    const auto classic = f4::Jtc2dLayout::design(9, 9, 3, 3);
     const auto batch1 = f4::Jtc2dLayout::designBatch(9, 9, 3, 3, 1);
-    EXPECT_EQ(batch1.kernel_row_pos, solo.kernel_row_pos);
-    EXPECT_EQ(batch1.plane_rows, solo.plane_rows);
-    EXPECT_EQ(batch1.plane_cols, solo.plane_cols);
+    EXPECT_EQ(batch1.kernel_row_pos, classic.kernel_row_pos);
+    EXPECT_EQ(batch1.plane_rows, classic.plane_rows);
+    EXPECT_EQ(batch1.plane_cols, classic.plane_cols);
     EXPECT_EQ(batch1.kernel_count, 1u);
 
     // Batched layouts keep every block in bounds and the mirror terms
@@ -729,8 +754,37 @@ TEST(Jtc2d, DesignBatchGeometry)
     }
 }
 
+TEST(Jtc2d, RowAxisLayoutIsTheOneDimensionalDesign)
+{
+    // The 2D row axis is the 1D joint plane with Ls -> Sr and
+    // Lk -> Kr; columns only pad the correlation support.
+    for (size_t sr : {size_t(1), size_t(3), size_t(9), size_t(16),
+                      size_t(33)})
+        for (size_t kr : {size_t(1), size_t(2), size_t(3), size_t(5),
+                          size_t(7)})
+            for (size_t count : {size_t(1), size_t(2), size_t(3),
+                                 size_t(8)})
+                for (auto [sc, kc] : {std::pair<size_t, size_t>{9, 3},
+                                      std::pair<size_t, size_t>{4, 1},
+                                      std::pair<size_t, size_t>{20, 7}}) {
+                    const auto l2 = f4::Jtc2dLayout::designBatch(
+                        sr, sc, kr, kc, count);
+                    const auto l1 =
+                        jtc::JtcPlaneLayout::designBatch(sr, kr, count);
+                    EXPECT_EQ(l2.kernel_row_pos, l1.kernel_pos);
+                    EXPECT_EQ(l2.kernel_row_step, l1.kernel_step);
+                    EXPECT_EQ(l2.plane_rows, l1.plane_size);
+                    EXPECT_EQ(l2.kernel_count, l1.kernel_count);
+                    EXPECT_EQ(l2.plane_cols,
+                              sig::nextPowerOfTwo(sc + kc));
+                }
+}
+
 TEST(Jtc2d, CorrelateBatchMatchesPerKernel)
 {
+    // k tiled kernels against k one-kernel correlations (within FFT
+    // rounding of the larger plane) and against the readout of the
+    // complex-path referenceJtc2dOutputPlane.
     pf::Rng rng(43);
     const auto s = randomMatrix(rng, 12, 12);
     f4::Jtc2d system;
@@ -755,6 +809,18 @@ TEST(Jtc2d, CorrelateBatchMatchesPerKernel)
                 EXPECT_LT(sig::matrixMaxAbsDiff(outs[j], solo), 1e-9)
                     << "count " << count << " kernel " << j;
             }
+
+            const auto layout = f4::Jtc2dLayout::design(
+                s.rows, s.cols, kernels[j].rows, kernels[j].cols);
+            const auto plane = referenceJtc2dOutputPlane(s, kernels[j]);
+            sig::Matrix ref(solo.rows, solo.cols);
+            for (size_t r = 0; r < ref.rows; ++r)
+                for (size_t c = 0; c < ref.cols; ++c)
+                    ref.at(r, c) = plane.at(
+                        (layout.kernel_row_pos - r) % layout.plane_rows,
+                        (layout.plane_cols - c) % layout.plane_cols);
+            EXPECT_LT(sig::matrixMaxAbsDiff(outs[j], ref), 1e-8)
+                << "count " << count << " kernel " << j;
         }
     }
 }

@@ -526,12 +526,12 @@ TEST(Pfcu, InputLargerThanWaveguidesPanics)
 
 TEST(JtcLayout, DesignBatchGeometry)
 {
-    // Batch-of-1 must be the classic layout exactly (same plane, same
-    // cached spectra, bit-identical readout).
-    const auto solo = jtc::JtcPlaneLayout::design(48, 7);
+    // Batch-of-1 must be the classic layout exactly (a lone kernel is
+    // a bank of one on the classic plane).
+    const auto classic = jtc::JtcPlaneLayout::design(48, 7);
     const auto one = jtc::JtcPlaneLayout::designBatch(48, 7, 1);
-    EXPECT_EQ(one.kernel_pos, solo.kernel_pos);
-    EXPECT_EQ(one.plane_size, solo.plane_size);
+    EXPECT_EQ(one.kernel_pos, classic.kernel_pos);
+    EXPECT_EQ(one.plane_size, classic.plane_size);
     EXPECT_EQ(one.kernel_count, 1u);
 
     for (size_t count : {size_t(2), size_t(4), size_t(8)}) {
@@ -553,6 +553,9 @@ TEST(JtcLayout, DesignBatchGeometry)
 
 TEST(JtcSystem, CorrelationWindowBatchMatchesPerKernel)
 {
+    // k tiled kernels against k one-kernel windows (within FFT
+    // rounding of the larger plane) and against the direct sliding
+    // reference.
     pf::Rng rng(90);
     const auto s = randomNonNegative(rng, 48);
     jtc::JtcSystem sys;
@@ -585,8 +588,10 @@ TEST(JtcSystem, CorrelationWindowBatchMatchesPerKernel)
             // Both stay pinned to the direct sliding reference.
             const auto ref = jtc::slidingCorrelationReference(
                 s, kernels[j], count, start);
-            for (size_t i = 0; i < count; ++i)
+            for (size_t i = 0; i < count; ++i) {
                 EXPECT_NEAR(out[j * count + i], ref[i], 1e-9);
+                EXPECT_NEAR(solo[i], ref[i], 1e-9);
+            }
         }
     }
 }
@@ -618,6 +623,40 @@ TEST(JtcSystem, CorrelationWindowBatchNoiseMatchesSoloExactly)
         for (size_t i = 0; i < count; ++i)
             EXPECT_EQ(batch_out[j * count + i], solo[i])
                 << "kernel " << j << " shift " << i;
+    }
+}
+
+TEST(JtcSystem, LoneKernelIsItsBankOfOneCacheEntry)
+{
+    // A lone kernel and a bank of one read the same cache entry, and
+    // the noise-on per-kernel path reads those entries too: no kernel
+    // is transformed or stored twice.
+    pf::Rng rng(93);
+    const auto s = randomNonNegative(rng, 32);
+    std::vector<std::vector<double>> kernels;
+    for (size_t j = 0; j < 3; ++j)
+        kernels.push_back(randomNonNegative(rng, 5));
+
+    for (bool noise : {false, true}) {
+        auto shared = std::make_shared<sig::PlaneSpectrumCache>();
+        jtc::JtcConfig config;
+        config.noise = noise;
+        jtc::JtcSystem sys(config, shared);
+        std::vector<double> out;
+        for (const auto &k : kernels)
+            sys.correlationWindowInto(s, k, 28, 0, out);
+        for (const auto &k : kernels)
+            sys.correlationWindowBatchInto(s, {k}, 28, 0, out);
+        EXPECT_EQ(shared->stats().entries, kernels.size())
+            << "noise " << noise;
+        EXPECT_EQ(shared->stats().misses, kernels.size())
+            << "noise " << noise;
+        sys.correlationWindowBatchInto(s, kernels, 28, 0, out);
+        // Noise on: the bank runs kernel by kernel on the same
+        // entries; noise off: the tiled bank is one new entry.
+        EXPECT_EQ(shared->stats().entries,
+                  kernels.size() + (noise ? 0 : 1))
+            << "noise " << noise;
     }
 }
 

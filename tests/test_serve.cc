@@ -799,3 +799,40 @@ TEST(InferenceServer, FusedBatchesAreCountedAndBitIdenticalWithNoise)
     EXPECT_GE(reg.counter("pf_serve_fused_batch_total").value(), 2u);
     EXPECT_EQ(reg.counter("pf_serve_completed_total").value(), 6u);
 }
+
+TEST(InferenceServer, CacheGaugesCountFactoryEngineCachesOnce)
+{
+    // Engines made by an EngineFactory keep their own kernel-spectrum
+    // cache (the accelerator's serving config shares one across every
+    // worker). The pf_cache_* gauges must see it, and count it once
+    // however many workers share it.
+    auto spectra = std::make_shared<pf::tiling::KernelSpectrumCache>();
+    obs::MetricsRegistry reg;
+    serve::ServerConfig cfg;
+    cfg.workers = 2;
+    cfg.metrics = &reg;
+    cfg.engine_factory = [spectra](size_t) {
+        return std::make_shared<nn::DirectEngine>(spectra,
+                                                  nn::ConvPath::Fft);
+    };
+    serve::InferenceServer server(cfg);
+    server.registry().add("m", tinyNet());
+
+    std::vector<serve::Completion> handles;
+    for (const auto &input : tinyInputs(16))
+        handles.push_back(server.submit("m", input));
+    for (auto &h : handles)
+        ASSERT_EQ(h.wait(), serve::RequestStatus::Done);
+    server.shutdown();
+
+    const auto stats = spectra->stats();
+    ASSERT_GT(stats.hits, 0u) << "serving never reached the cache";
+    const obs::MetricsSnapshot snap = reg.snapshot();
+    EXPECT_GT(snap.gaugeValue("pf_cache_kernel_hits"), 0.0);
+    // The registry's own cache for "m" saw no traffic, so the gauges
+    // are exactly the shared factory cache, counted once.
+    EXPECT_EQ(snap.gaugeValue("pf_cache_kernel_hits"),
+              static_cast<double>(stats.hits));
+    EXPECT_EQ(snap.gaugeValue("pf_cache_kernel_entries"),
+              static_cast<double>(stats.entries));
+}
