@@ -10,7 +10,8 @@
 # report `degraded` through `trace_dump --health` (which still passes
 # --assert-sane — degraded is what spillover routing is for). Both
 # shards run with the crash flight recorder armed; s1 is terminated at
-# the end and its shutdown dump is checked for parseability.
+# the end and its shutdown dump is checked for parseability and for
+# the level=warn event its health warning recorded.
 #
 # Usage: bench/cluster_smoke.sh BUILD_DIR [OUT_JSON]
 #   PF_CLUSTER_PORT_BASE  first of three consecutive ports (default 47410)
@@ -110,6 +111,14 @@ grep -q "^pf_flight_recorder version=1 reason=shutdown" \
     "$flight_dir/pf_flight_s1.log" || {
     echo "FAIL: unparseable flight-recorder header in" \
         "$flight_dir/pf_flight_s1.log" >&2
+    exit 1
+}
+# Daemon warnings reach the event store the recorder dumps: the
+# shard-health pf_warn that s1's 1µs SLO forced must be in the dump.
+grep -q '^event ts=[0-9]* level=warn trace=[0-9a-f]* msg="shard s1 health degraded: .*queue_p99_us' \
+    "$flight_dir/pf_flight_s1.log" || {
+    echo "FAIL: s1's shard-health warning is not a level=warn event" \
+        "in $flight_dir/pf_flight_s1.log" >&2
     exit 1
 }
 

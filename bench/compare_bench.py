@@ -14,10 +14,11 @@ photofourier library (the "photofourier_build_type" custom context
 stamped by bench/micro_kernels.cc), the comparison is headed with a
 warning — debug timings are not meaningful perf evidence. If the two
 runs disagree on machine or build provenance — core count, build
-type, or SIMD dispatch level (the photofourier_* custom contexts, or
-num_cpus/build_type/simd_level in a serve_loadgen record) — the
+type, SIMD dispatch level, or FFT pool size (the photofourier_*
+custom contexts, or num_cpus/build_type/simd_level/fft_threads in a
+serve_loadgen record) — the
 comparison is refused with a nonzero exit: a different machine,
-build, or instruction set is a different experiment, not a
+build, instruction set, or pool size is a different experiment, not a
 regression. Pass --allow-cross-machine to compare anyway. Differing
 git shas are reported but allowed — diffing two commits is the whole
 point of the tool.
@@ -68,7 +69,8 @@ def benchmarks(doc):
 
 
 def provenance(doc):
-    """{"build_type", "num_cpus", "git_sha", "simd_level"} from
+    """{"build_type", "num_cpus", "git_sha", "simd_level",
+    "fft_threads"} from
     either record flavor: google-benchmark custom context
     (micro_kernels) or top-level keys (serve_loadgen). Missing facts
     map to None — records predating the provenance stamp stay
@@ -82,6 +84,8 @@ def provenance(doc):
         "git_sha": ctx.get("photofourier_git_sha", doc.get("git_sha")),
         "simd_level": ctx.get("photofourier_simd_level",
                               doc.get("simd_level")),
+        "fft_threads": ctx.get("photofourier_fft_threads",
+                               doc.get("fft_threads")),
     }
     return {k: (str(v) if v is not None else None)
             for k, v in out.items()}
@@ -90,7 +94,7 @@ def provenance(doc):
 def check_provenance(before_doc, after_doc, allow_cross_machine):
     before, after = provenance(before_doc), provenance(after_doc)
     mismatched = []
-    for key in ("build_type", "num_cpus", "simd_level"):
+    for key in ("build_type", "num_cpus", "simd_level", "fft_threads"):
         b, a = before[key], after[key]
         if b is not None and a is not None and b != a:
             mismatched.append(f"{key}: BEFORE={b} AFTER={a}")

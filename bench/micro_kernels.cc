@@ -879,16 +879,12 @@ BENCHMARK(BM_ObsSpanActive);
 static void
 BM_ObsLogEvent(benchmark::State &state)
 {
-    // The per-request record path: message interned once at the call
-    // site, each iteration pushes a fixed-size record into the striped
-    // ring. This is the cost every pf_log_* macro pays when the sink
-    // is warm.
+    // The per-event record path every pf_inform/pf_warn takes after
+    // its message is built: stamp time and trace id, copy the message
+    // into a fixed-size slot of the ring, bump the severity counter.
     pf::obs::LogSink sink(4096);
-    const uint32_t msg =
-        pf::obs::LogSink::internMessage("bench", "benchmark log event");
-    uint64_t i = 0;
     for (auto _ : state) {
-        pf::obs::logEvent(pf::obs::LogSeverity::Info, msg, i++, 0,
+        pf::obs::logEvent(pf::LogSeverity::Info, "benchmark log event",
                           &sink);
         benchmark::DoNotOptimize(&sink);
     }
@@ -1101,7 +1097,7 @@ main(int argc, char **argv)
     // benchmark library*, which says nothing about our -O level.
     // bench/run_benches.sh refuses to record debug numbers, and
     // bench/compare_bench.py refuses to diff runs whose provenance
-    // (build type, core count, source sha) differs.
+    // (build type, core count, SIMD level, FFT pool size) differs.
     benchmark::AddCustomContext("photofourier_build_type",
                                 pf::buildType());
     benchmark::AddCustomContext("photofourier_git_sha", pf::gitSha());
@@ -1109,6 +1105,9 @@ main(int argc, char **argv)
                                 std::to_string(pf::numCpus()));
     benchmark::AddCustomContext("photofourier_simd_level",
                                 pf::simdLevel());
+    benchmark::AddCustomContext(
+        "photofourier_fft_threads",
+        std::to_string(pf::signal::defaultFftThreads()));
     benchmark::Initialize(&argc, argv);
     if (benchmark::ReportUnrecognizedArguments(argc, argv))
         return 1;

@@ -42,12 +42,16 @@ fi
 
 # Record to a temp path first: the committed BENCH_micro.json is only
 # replaced after the build-type stamp checks out, so a debug run can
-# never corrupt the tracked numbers.
+# never corrupt the tracked numbers. The FFT pool runs one thread
+# unless the caller chose a size: with the default pool the batched
+# rows time pool wake-ups as much as compute, and two builds cannot
+# be told apart. micro_kernels stamps the size it ran with.
 micro_tmp="$build_dir/BENCH_micro.new.json"
-"$build_dir/micro_kernels" \
-    --benchmark_out="$micro_tmp" \
-    --benchmark_out_format=json \
-    "$@"
+PHOTOFOURIER_THREADS=${PHOTOFOURIER_THREADS:-1} \
+    "$build_dir/micro_kernels" \
+        --benchmark_out="$micro_tmp" \
+        --benchmark_out_format=json \
+        "$@"
 
 if grep -q '"photofourier_build_type": "debug"' "$micro_tmp"; then
     echo "error: micro_kernels reports a debug photofourier build" \

@@ -6,7 +6,6 @@
 
 #include "common/logging.hh"
 #include "nn/serialization.hh"
-#include "obs/log.hh"
 
 namespace photofourier {
 namespace cluster {
@@ -406,16 +405,23 @@ ShardServer::metricsReport(bool include_traces)
 HealthReportMsg
 ShardServer::healthReport()
 {
+    const obs::HealthState before = health_.status().state;
     const obs::HealthStatus status =
         health_.evaluate(server_.metricsRegistry().snapshot());
+    // Warn when the shard turns degraded or unhealthy, not on every
+    // poll of a shard that stays so.
+    if (status.state != before &&
+        status.state != obs::HealthState::Healthy) {
+        std::string rules;
+        for (const obs::SloViolation &violation : status.violations)
+            rules += (rules.empty() ? "" : ",") + violation.rule;
+        pf_warn("shard ", config_.name, " health ",
+                obs::healthStateName(status.state), ": ", rules);
+    }
     HealthReportMsg msg;
     msg.server_name = config_.name;
     msg.state = status.state;
     msg.violations = status.violations;
-    if (status.state != obs::HealthState::Healthy)
-        pf_log_warn("cluster", "shard health not healthy",
-                    static_cast<uint64_t>(status.state),
-                    status.violations.size());
     return msg;
 }
 

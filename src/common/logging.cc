@@ -29,28 +29,21 @@ namespace photofourier {
 
 namespace {
 
-LogLevel global_level = LogLevel::Info;
+std::atomic<LogHook> global_log_hook{nullptr};
 
-std::atomic<PanicHook> global_panic_hook{nullptr};
+void
+emit(LogSeverity severity, const std::string &msg, const char *exit_reason)
+{
+    if (LogHook hook = global_log_hook.load())
+        hook(severity, msg, exit_reason);
+}
 
 } // namespace
 
-void
-setLogLevel(LogLevel level)
+LogHook
+setLogHook(LogHook hook)
 {
-    global_level = level;
-}
-
-LogLevel
-logLevel()
-{
-    return global_level;
-}
-
-PanicHook
-setPanicHook(PanicHook hook)
-{
-    return global_panic_hook.exchange(hook);
+    return global_log_hook.exchange(hook);
 }
 
 namespace detail {
@@ -60,10 +53,9 @@ panicImpl(const char *file, int line, const std::string &msg)
 {
     std::cerr << "panic: " << msg << " @ " << file << ":" << line
               << std::endl;
-    // Flight-recorder hook first: once the sanitizer trace or abort
-    // runs there is no further chance to persist the last log events.
-    if (PanicHook hook = global_panic_hook.load())
-        hook();
+    // Hook first: once the sanitizer trace or abort runs there is no
+    // further chance to persist the event store.
+    emit(LogSeverity::Error, msg, "panic");
 #ifdef PF_HAVE_SANITIZER_STACKTRACE
     __sanitizer_print_stack_trace();
 #endif
@@ -75,28 +67,22 @@ fatalImpl(const char *file, int line, const std::string &msg)
 {
     std::cerr << "fatal: " << msg << " @ " << file << ":" << line
               << std::endl;
+    emit(LogSeverity::Error, msg, "fatal");
     std::exit(1);
 }
 
 void
 warnImpl(const std::string &msg)
 {
-    if (global_level >= LogLevel::Warn)
-        std::cerr << "warn: " << msg << std::endl;
+    std::cerr << "warn: " << msg << std::endl;
+    emit(LogSeverity::Warn, msg, nullptr);
 }
 
 void
 informImpl(const std::string &msg)
 {
-    if (global_level >= LogLevel::Info)
-        std::cout << "info: " << msg << std::endl;
-}
-
-void
-debugImpl(const std::string &msg)
-{
-    if (global_level >= LogLevel::Debug)
-        std::cout << "debug: " << msg << std::endl;
+    std::cout << "info: " << msg << std::endl;
+    emit(LogSeverity::Info, msg, nullptr);
 }
 
 } // namespace detail

@@ -1,42 +1,48 @@
 /**
  * @file
- * Status/error reporting helpers in the gem5 style.
+ * Status/error reporting in the gem5 style — the one log API.
  *
- * panic()  — an internal invariant was violated (a library bug); aborts.
- * fatal()  — the caller/user supplied an impossible configuration; exits.
- * warn()   — something is questionable but the run can continue.
- * inform() — plain status output.
+ * pf_panic()  — an internal invariant was violated (a library bug); aborts.
+ * pf_fatal()  — the caller/user supplied an impossible configuration; exits.
+ * pf_warn()   — something is questionable but the run can continue.
+ * pf_inform() — plain status output.
+ *
+ * Each call prints one console line and hands the event to the log
+ * hook, which obs/ installs to record it into the bounded event store
+ * the flight recorder dumps (obs/log.hh).
  */
 
 #ifndef PHOTOFOURIER_COMMON_LOGGING_HH
 #define PHOTOFOURIER_COMMON_LOGGING_HH
 
-#include <cstdio>
+#include <cstdint>
 #include <sstream>
 #include <string>
 
 namespace photofourier {
 
-/** Verbosity levels accepted by setLogLevel(). */
-enum class LogLevel { Silent = 0, Warn = 1, Info = 2, Debug = 3 };
-
-/** Set the global log verbosity (default: Info). */
-void setLogLevel(LogLevel level);
-
-/** Current global log verbosity. */
-LogLevel logLevel();
+/** Event severity: pf_inform, pf_warn, and pf_fatal/pf_panic. */
+enum class LogSeverity : uint8_t
+{
+    Info = 0,
+    Warn = 1,
+    Error = 2,
+};
 
 /**
- * Hook run on the panic path (failed pf_assert / pf_panic) after the
- * message prints but before the stack trace and abort. The obs layer
- * installs its flight-recorder dump here — common/ sits below obs/ in
- * the layering, so the dependency is inverted through this pointer.
- * The hook runs on the crashing thread and must not panic.
+ * The one log hook: every event is handed to it after its console
+ * line prints. `exit_reason` is "fatal" or "panic" when the process
+ * ends as soon as the hook returns, and nullptr otherwise. obs/log.cc
+ * installs the hook that records the event and, on the exit paths,
+ * dumps the flight recorder — common/ sits below obs/ in the
+ * layering, so the dependency is inverted through this pointer. The
+ * hook runs on the logging thread and must not log or panic.
  */
-using PanicHook = void (*)();
+using LogHook = void (*)(LogSeverity severity, const std::string &message,
+                         const char *exit_reason);
 
 /** Install `hook` (nullptr to clear); returns the previous hook. */
-PanicHook setPanicHook(PanicHook hook);
+LogHook setLogHook(LogHook hook);
 
 namespace detail {
 
@@ -46,7 +52,6 @@ namespace detail {
                             const std::string &msg);
 void warnImpl(const std::string &msg);
 void informImpl(const std::string &msg);
-void debugImpl(const std::string &msg);
 
 /** Minimal printf-free message builder: concatenates stream args. */
 template <typename... Args>
@@ -72,19 +77,14 @@ buildMessage(Args &&...args)
         __FILE__, __LINE__,                                               \
         ::photofourier::detail::buildMessage(__VA_ARGS__))
 
-/** Print a warning (suppressed at LogLevel::Silent). */
+/** Print a warning and record it. */
 #define pf_warn(...)                                                       \
     ::photofourier::detail::warnImpl(                                      \
         ::photofourier::detail::buildMessage(__VA_ARGS__))
 
-/** Print an informational message. */
+/** Print an informational message and record it. */
 #define pf_inform(...)                                                     \
     ::photofourier::detail::informImpl(                                    \
-        ::photofourier::detail::buildMessage(__VA_ARGS__))
-
-/** Print a debug message (only at LogLevel::Debug). */
-#define pf_debug(...)                                                      \
-    ::photofourier::detail::debugImpl(                                     \
         ::photofourier::detail::buildMessage(__VA_ARGS__))
 
 /**

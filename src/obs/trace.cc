@@ -23,67 +23,6 @@ nowNs()
             .count());
 }
 
-TraceSink::TraceSink(size_t capacity)
-    : capacity_(capacity == 0 ? 1 : capacity)
-{
-    ring_.resize(capacity_);
-}
-
-void
-TraceSink::record(const SpanRecord &rec)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    ring_[next_] = rec;
-    next_ = (next_ + 1) % capacity_;
-    if (size_ < capacity_)
-        ++size_;
-    else
-        ++dropped_;
-}
-
-std::vector<Span>
-TraceSink::snapshot() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    std::vector<Span> out;
-    out.reserve(size_);
-    size_t start = (next_ + capacity_ - size_) % capacity_;
-    for (size_t i = 0; i < size_; ++i) {
-        const SpanRecord &rec = ring_[(start + i) % capacity_];
-        Span span;
-        span.trace_id = rec.trace_id;
-        span.name = rec.name;
-        span.depth = rec.depth;
-        span.start_ns = rec.start_ns;
-        span.duration_ns = rec.duration_ns;
-        out.push_back(std::move(span));
-    }
-    return out;
-}
-
-uint64_t
-TraceSink::dropped() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return dropped_;
-}
-
-size_t
-TraceSink::size() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return size_;
-}
-
-void
-TraceSink::clear()
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    next_ = 0;
-    size_ = 0;
-    dropped_ = 0;
-}
-
 TraceSink &
 TraceSink::global()
 {

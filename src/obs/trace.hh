@@ -7,10 +7,11 @@
  * allocation-free: span names must be string literals (the record
  * stores the pointer), ScopedSpan reads one thread_local to decide it
  * is a no-op, and TraceSink::record overwrites a preallocated ring
- * slot under a mutex. Timestamps are steady-clock nanoseconds —
- * CLOCK_MONOTONIC is shared by every process on a host, so spans
- * recorded by a shard and by the router on the same machine line up in
- * one waterfall; across hosts only durations are comparable.
+ * slot under a mutex (the BoundedRing the event store shares).
+ * Timestamps are steady-clock nanoseconds — CLOCK_MONOTONIC is shared
+ * by every process on a host, so spans recorded by a shard and by the
+ * router on the same machine line up in one waterfall; across hosts
+ * only durations are comparable.
  */
 
 #ifndef PHOTOFOURIER_OBS_TRACE_HH
@@ -18,9 +19,10 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <mutex>
 #include <string>
 #include <vector>
+
+#include "obs/ring.hh"
 
 namespace photofourier {
 namespace obs {
@@ -43,50 +45,26 @@ struct Span
     uint32_t depth = 0;
     uint64_t start_ns = 0;
     uint64_t duration_ns = 0;
+
+    Span() = default;
+    explicit Span(const SpanRecord &rec)
+        : trace_id(rec.trace_id), name(rec.name), depth(rec.depth),
+          start_ns(rec.start_ns), duration_ns(rec.duration_ns)
+    {
+    }
 };
 
 /** Steady-clock timestamp in nanoseconds. */
 uint64_t nowNs();
 
-/**
- * Bounded span store: a preallocated ring that overwrites the oldest
- * record when full, so memory stays fixed no matter how many requests
- * are traced. One sink per server (plus a process global()).
- */
-class TraceSink
+/** Bounded span store (see BoundedRing); one per server plus global(). */
+class TraceSink : public BoundedRing<SpanRecord, Span>
 {
   public:
-    explicit TraceSink(size_t capacity = 4096);
-
-    /** Append one span; O(1), allocation-free. */
-    void record(const SpanRecord &rec);
-
-    /** Copy out every live record (oldest first). */
-    std::vector<Span> snapshot() const;
-
-    /** Spans overwritten because the ring was full. */
-    uint64_t dropped() const;
-
-    /** Number of live records. */
-    size_t size() const;
-
-    size_t capacity() const { return capacity_; }
-
-    /** Forget every record (tests). */
-    void clear();
+    explicit TraceSink(size_t capacity = 4096) : BoundedRing(capacity) {}
 
     /** The process-wide default sink. */
     static TraceSink &global();
-
-  private:
-    // Lock order: mutex_ is a leaf lock — record()/snapshot() acquire
-    // nothing else while holding it.
-    mutable std::mutex mutex_;
-    size_t capacity_;
-    std::vector<SpanRecord> ring_;
-    size_t next_ = 0;
-    size_t size_ = 0;
-    uint64_t dropped_ = 0;
 };
 
 /** Trace id bound to the calling thread (0 = not tracing). */

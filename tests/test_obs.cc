@@ -12,6 +12,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -25,6 +26,7 @@
 #include "cluster/server.hh"
 #include "common/rng.hh"
 #include "common/stats.hh"
+#include "jtc/pfcu.hh"
 #include "nn/layers.hh"
 #include "obs/health.hh"
 #include "obs/log.hh"
@@ -202,23 +204,42 @@ TEST(Metrics, PrometheusRenderingHasTypedFamilies)
 
 TEST(Trace, SinkIsABoundedRing)
 {
-    obs::TraceSink sink(4);
+    // TraceSink and LogSink are one BoundedRing: the same overwrite,
+    // drop, and oldest-first rules hold for spans and for events.
+    obs::TraceSink spans(4);
+    obs::LogSink events(4);
+    EXPECT_EQ(spans.capacity(), 4u);
+    EXPECT_EQ(events.capacity(), 4u);
+    EXPECT_EQ(events.size(), 0u);
     for (uint64_t i = 1; i <= 6; ++i) {
         obs::SpanRecord rec;
         rec.trace_id = i;
         rec.name = "s";
         rec.start_ns = i;
-        sink.record(rec);
+        spans.record(rec);
+        obs::LogEvent event;
+        event.trace_id = i;
+        event.timestamp_ns = i;
+        events.record(event);
     }
-    EXPECT_EQ(sink.size(), 4u);
-    EXPECT_EQ(sink.dropped(), 2u);
-    const std::vector<obs::Span> spans = sink.snapshot();
-    ASSERT_EQ(spans.size(), 4u);
+    EXPECT_EQ(spans.size(), 4u);
+    EXPECT_EQ(spans.dropped(), 2u);
+    EXPECT_EQ(events.size(), 4u);
+    EXPECT_EQ(events.dropped(), 2u);
+    const std::vector<obs::Span> span_snap = spans.snapshot();
+    const std::vector<obs::LogEvent> event_snap = events.snapshot();
+    ASSERT_EQ(span_snap.size(), 4u);
+    ASSERT_EQ(event_snap.size(), 4u);
     // Oldest-first: ids 3..6 survive.
-    EXPECT_EQ(spans.front().trace_id, 3u);
-    EXPECT_EQ(spans.back().trace_id, 6u);
-    sink.clear();
-    EXPECT_EQ(sink.size(), 0u);
+    EXPECT_EQ(span_snap.front().trace_id, 3u);
+    EXPECT_EQ(span_snap.back().trace_id, 6u);
+    EXPECT_EQ(event_snap.front().trace_id, 3u);
+    EXPECT_EQ(event_snap.back().trace_id, 6u);
+    spans.clear();
+    events.clear();
+    EXPECT_EQ(spans.size(), 0u);
+    EXPECT_EQ(events.size(), 0u);
+    EXPECT_EQ(events.dropped(), 0u);
 }
 
 TEST(Trace, ScopedSpansRecordOnlyUnderABinding)
@@ -334,124 +355,102 @@ TEST(Trace, WaterfallEdgeCases)
 // Structured log sink
 // ---------------------------------------------------------------------------
 
-TEST(Log, SinkIsABoundedStripedRing)
-{
-    obs::LogSink sink(16); // 2 slots per stripe
-    EXPECT_EQ(sink.capacity(), 16u);
-    EXPECT_EQ(sink.size(), 0u);
-
-    const uint32_t mid = obs::LogSink::internMessage("test", "event");
-    // All records land on this thread's stripe (2 slots), so 10
-    // records overwrite 8.
-    for (uint64_t i = 1; i <= 10; ++i) {
-        obs::LogRecord rec;
-        rec.timestamp_ns = i;
-        rec.message_id = mid;
-        rec.arg0 = i;
-        sink.record(rec);
-    }
-    EXPECT_EQ(sink.size(), 2u);
-    EXPECT_EQ(sink.dropped(), 8u);
-    const std::vector<obs::LogEvent> events = sink.snapshot();
-    ASSERT_EQ(events.size(), 2u);
-    // Oldest first; the newest two survive.
-    EXPECT_EQ(events[0].arg0, 9u);
-    EXPECT_EQ(events[1].arg0, 10u);
-    EXPECT_EQ(events[0].component, "test");
-    EXPECT_EQ(events[0].message, "event");
-
-    sink.clear();
-    EXPECT_EQ(sink.size(), 0u);
-}
-
-TEST(Log, MessageTableInternsEachSiteOnce)
-{
-    const uint32_t a = obs::LogSink::internMessage("comp", "msg one");
-    const uint32_t b = obs::LogSink::internMessage("comp", "msg one");
-    EXPECT_EQ(a, b);
-    EXPECT_NE(a, 0u); // 0 is the overflow entry
-    const uint32_t c = obs::LogSink::internMessage("comp", "msg two");
-    EXPECT_NE(a, c);
-    const obs::LogMessage m = obs::LogSink::message(a);
-    EXPECT_STREQ(m.component, "comp");
-    EXPECT_STREQ(m.text, "msg one");
-    // Unknown ids resolve to the overflow entry, never crash.
-    const obs::LogMessage overflow = obs::LogSink::message(0xffffffff);
-    EXPECT_STREQ(overflow.component, "log");
-}
-
 TEST(Log, EventsStampTimeTraceAndSeverityCounters)
 {
     obs::LogSink sink(64);
     const obs::MetricsSnapshot before =
         obs::MetricsRegistry::global().snapshot();
-    const uint32_t mid =
-        obs::LogSink::internMessage("serve", "queue high");
     {
         obs::TraceBinding binding(0xbeef, nullptr);
-        obs::logEvent(obs::LogSeverity::Warn, mid, 17, 3, &sink);
+        obs::logEvent(pf::LogSeverity::Warn, "queue high", &sink);
     }
-    obs::logEvent(obs::LogSeverity::Info, mid, 1, 2, &sink);
+    obs::logEvent(pf::LogSeverity::Info, "queue ok", &sink);
 
     const std::vector<obs::LogEvent> events = sink.snapshot();
     ASSERT_EQ(events.size(), 2u);
     EXPECT_EQ(events[0].trace_id, 0xbeefu);
-    EXPECT_EQ(events[0].severity, obs::LogSeverity::Warn);
-    EXPECT_EQ(events[0].arg0, 17u);
-    EXPECT_EQ(events[0].arg1, 3u);
+    EXPECT_EQ(events[0].severity, pf::LogSeverity::Warn);
+    EXPECT_STREQ(events[0].message, "queue high");
     EXPECT_GT(events[0].timestamp_ns, 0u);
     EXPECT_EQ(events[1].trace_id, 0u); // no binding, no trace
     EXPECT_LE(events[0].timestamp_ns, events[1].timestamp_ns);
+
+    // A message longer than the slot is truncated, never overflowed.
+    const std::string longer(3 * obs::kLogMessageBytes, 'x');
+    obs::logEvent(pf::LogSeverity::Info, longer, &sink);
+    EXPECT_EQ(std::string(sink.snapshot().back().message),
+              longer.substr(0, obs::kLogMessageBytes - 1));
 
     const obs::MetricsSnapshot after =
         obs::MetricsRegistry::global().snapshot();
     EXPECT_EQ(after.counterValue("pf_log_warn_total"),
               before.counterValue("pf_log_warn_total") + 1);
     EXPECT_EQ(after.counterValue("pf_log_info_total"),
-              before.counterValue("pf_log_info_total") + 1);
+              before.counterValue("pf_log_info_total") + 2);
 }
 
 TEST(Log, MacrosRecordIntoTheGlobalSink)
 {
     obs::LogSink::global().clear();
-    pf_log_error("test", "macro event", 7, 9);
+    pf_inform("macro inform ", 7);
+    pf_warn("macro warn ", 9);
     const std::vector<obs::LogEvent> events =
         obs::LogSink::global().snapshot();
-    bool found = false;
-    for (const auto &e : events) {
-        if (e.message == "macro event") {
-            found = true;
-            EXPECT_EQ(e.component, "test");
-            EXPECT_EQ(e.severity, obs::LogSeverity::Error);
-            EXPECT_EQ(e.arg0, 7u);
-            EXPECT_EQ(e.arg1, 9u);
-        }
-    }
-    EXPECT_TRUE(found);
+    ASSERT_EQ(events.size(), 2u);
+    EXPECT_STREQ(events[0].message, "macro inform 7");
+    EXPECT_EQ(events[0].severity, pf::LogSeverity::Info);
+    EXPECT_STREQ(events[1].message, "macro warn 9");
+    EXPECT_EQ(events[1].severity, pf::LogSeverity::Warn);
     obs::LogSink::global().clear();
 }
 
-TEST(Log, RenderingLogfmtAndJson)
+TEST(Log, WarningFromBelowObsCarriesItsTrace)
+{
+    // jtc/ sits below obs/ and only includes common/logging, yet the
+    // PFCU's Section III-B weight-DAC budget warning must land in the
+    // event store under the request's trace.
+    pf::jtc::PfcuConfig config;
+    config.n_input_waveguides = 16;
+    config.n_active_weight_dacs = 2;
+    const pf::jtc::Pfcu pfcu(config);
+    const std::vector<double> input(16, 0.5);
+    const std::vector<double> weights = {0.1, 0.2, 0.3, 0.4};
+
+    obs::LogSink::global().clear();
+    const obs::MetricsSnapshot before =
+        obs::MetricsRegistry::global().snapshot();
+    {
+        obs::TraceBinding binding(0x9fc0, nullptr);
+        (void)pfcu.opticalCorrelation(input, weights);
+    }
+    const obs::MetricsSnapshot after =
+        obs::MetricsRegistry::global().snapshot();
+
+    const std::vector<obs::LogEvent> events =
+        obs::LogSink::global().snapshot();
+    ASSERT_EQ(events.size(), 1u);
+    EXPECT_EQ(events[0].severity, pf::LogSeverity::Warn);
+    EXPECT_EQ(events[0].trace_id, 0x9fc0u);
+    EXPECT_NE(std::string(events[0].message)
+                  .find("4 nonzero weights but only 2 weight DACs"),
+              std::string::npos)
+        << events[0].message;
+    EXPECT_EQ(after.counterValue("pf_log_warn_total"),
+              before.counterValue("pf_log_warn_total") + 1);
+    obs::LogSink::global().clear();
+}
+
+TEST(Log, RenderingLogfmt)
 {
     obs::LogEvent e;
     e.timestamp_ns = 12345;
     e.trace_id = 0xabc;
-    e.arg0 = 1;
-    e.arg1 = 2;
-    e.component = "serve";
-    e.message = "said \"hi\"";
-    e.severity = obs::LogSeverity::Info;
+    e.severity = pf::LogSeverity::Info;
+    std::snprintf(e.message, sizeof(e.message), "said \"hi\"\nagain");
 
     const std::string fmt = obs::renderLogfmt({e});
-    EXPECT_NE(fmt.find("level=info"), std::string::npos);
-    EXPECT_NE(fmt.find("component=serve"), std::string::npos);
-    EXPECT_NE(fmt.find("ts=12345"), std::string::npos);
-    EXPECT_NE(fmt.find("\\\"hi\\\""), std::string::npos); // escaped
-
-    const std::string json = obs::renderJson({e});
-    EXPECT_EQ(json.front(), '[');
-    EXPECT_NE(json.find("\"component\":\"serve\""), std::string::npos);
-    EXPECT_NE(json.find("\"level\":\"info\""), std::string::npos);
+    EXPECT_EQ(fmt, "event ts=12345 level=info trace=0000000000000abc "
+                   "msg=\"said \\\"hi\\\"\\nagain\"\n");
 }
 
 // ---------------------------------------------------------------------------
@@ -613,7 +612,7 @@ TEST(FlightRecorder, DumpWritesParseableHeaderEventsAndSpans)
 
     obs::LogSink::global().clear();
     for (uint64_t i = 1; i <= 8; ++i)
-        pf_log_info("flight", "tick", i, 0);
+        pf_inform("flight tick ", i);
     {
         obs::TraceBinding binding(0x77, &obs::TraceSink::global());
         obs::ScopedSpan span("flight_span");
@@ -644,6 +643,78 @@ TEST(FlightRecorder, DumpWritesParseableHeaderEventsAndSpans)
     EXPECT_GE(span_lines, 1u);
 
     obs::LogSink::global().clear();
+    std::remove(path.c_str());
+}
+
+namespace {
+
+/** A flight-recorder dump's whole text ("" when missing). */
+std::string
+readDump(const std::string &path)
+{
+    std::ifstream in(path);
+    std::ostringstream text;
+    text << in.rdbuf();
+    return text.str();
+}
+
+} // namespace
+
+TEST(FlightRecorder, FatalExitDumpsWithReasonFatal)
+{
+    testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    const std::string path =
+        testing::TempDir() + "pf_flight_fatal_test.log";
+    std::remove(path.c_str());
+    EXPECT_EXIT(
+        {
+            obs::FlightRecorderConfig config;
+            config.path = path;
+            obs::installFlightRecorder(config);
+            pf_warn("about to fail");
+            pf_fatal("cannot listen on port ", 4711);
+        },
+        testing::ExitedWithCode(1), "fatal: cannot listen on port 4711");
+
+    const std::string dump = readDump(path);
+    EXPECT_EQ(dump.rfind("pf_flight_recorder version=1 reason=fatal "
+                         "events=2 ",
+                         0),
+              0u)
+        << dump;
+    EXPECT_NE(dump.find("level=warn trace=0000000000000000 "
+                        "msg=\"about to fail\"\n"),
+              std::string::npos)
+        << dump;
+    EXPECT_NE(dump.find("level=error trace=0000000000000000 "
+                        "msg=\"cannot listen on port 4711\"\n"),
+              std::string::npos)
+        << dump;
+    std::remove(path.c_str());
+}
+
+TEST(FlightRecorder, PanicDumpsWithReasonPanic)
+{
+    testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    const std::string path =
+        testing::TempDir() + "pf_flight_panic_test.log";
+    std::remove(path.c_str());
+    EXPECT_DEATH(
+        {
+            obs::FlightRecorderConfig config;
+            config.path = path;
+            obs::installFlightRecorder(config);
+            pf_assert(1 + 1 == 3, "arithmetic broke");
+        },
+        "panic: assertion failed");
+
+    // The abort after the dump must not overwrite it as reason=signal.
+    const std::string dump = readDump(path);
+    EXPECT_EQ(dump.rfind("pf_flight_recorder version=1 reason=panic ", 0),
+              0u)
+        << dump;
+    EXPECT_NE(dump.find("level=error"), std::string::npos) << dump;
+    EXPECT_NE(dump.find("arithmetic broke"), std::string::npos) << dump;
     std::remove(path.c_str());
 }
 
@@ -991,24 +1062,23 @@ TEST(ObsAlloc, LogEventRecordingIsAllocationFree)
 {
     obs::LogSink sink(512);
 
-    // Warm: interning registers the literals (allocates, once per
-    // site) and the first logEvent resolves the per-severity counters
-    // in the global registry; the stripe rings are preallocated.
-    const uint32_t msg =
-        obs::LogSink::internMessage("test", "alloc pin event");
-    obs::logEvent(obs::LogSeverity::Info, msg, 0, 0, &sink);
-    obs::logEvent(obs::LogSeverity::Warn, msg, 0, 0, &sink);
+    // Warm: the first logEvent resolves the per-severity counters in
+    // the global registry; the ring's slots are preallocated.
+    obs::logEvent(pf::LogSeverity::Info, "alloc pin event", &sink);
+    obs::logEvent(pf::LogSeverity::Warn, "alloc pin event", &sink);
 
+    const std::string longer(4 * obs::kLogMessageBytes, 'y');
     const uint64_t before =
         pf_test_allocations.load(std::memory_order_relaxed);
     for (uint64_t i = 0; i < 1000; ++i)
-        obs::logEvent(obs::LogSeverity::Info, msg, i, i * 2, &sink);
+        obs::logEvent(pf::LogSeverity::Info, "alloc pin event", &sink);
     {
         // Traced events must also be free: stamping the active trace
-        // id reads a thread-local, nothing more.
+        // id reads a thread-local, nothing more. Truncating a long
+        // message is a bounded copy.
         obs::TraceBinding binding(0x10c, nullptr);
         for (uint64_t i = 0; i < 1000; ++i)
-            obs::logEvent(obs::LogSeverity::Warn, msg, i, 0, &sink);
+            obs::logEvent(pf::LogSeverity::Warn, longer, &sink);
     }
     const uint64_t after =
         pf_test_allocations.load(std::memory_order_relaxed);

@@ -27,10 +27,10 @@
  *                    (smoke tests set it tiny to force `degraded`)
  *
  * With PF_FLIGHT_RECORDER=<path> in the environment the shard arms
- * the crash flight recorder: a panic, fatal signal, or sanitizer
- * death dumps the last log events + trace spans to <path>, and the
- * graceful shutdown path writes one too (reason=shutdown) so a shard
- * killed externally still leaves a parseable artifact.
+ * the crash flight recorder: a pf_fatal, panic, fatal signal, or
+ * sanitizer death dumps the last log events + trace spans to <path>,
+ * and the graceful shutdown path writes one too (reason=shutdown) so
+ * a shard killed externally still leaves a parseable artifact.
  */
 
 #include <atomic>
