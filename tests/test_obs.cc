@@ -204,42 +204,24 @@ TEST(Metrics, PrometheusRenderingHasTypedFamilies)
 
 TEST(Trace, SinkIsABoundedRing)
 {
-    // TraceSink and LogSink are one BoundedRing: the same overwrite,
-    // drop, and oldest-first rules hold for spans and for events.
-    obs::TraceSink spans(4);
-    obs::LogSink events(4);
-    EXPECT_EQ(spans.capacity(), 4u);
-    EXPECT_EQ(events.capacity(), 4u);
-    EXPECT_EQ(events.size(), 0u);
+    obs::TraceSink sink(4);
+    EXPECT_EQ(sink.capacity(), 4u);
     for (uint64_t i = 1; i <= 6; ++i) {
         obs::SpanRecord rec;
         rec.trace_id = i;
         rec.name = "s";
         rec.start_ns = i;
-        spans.record(rec);
-        obs::LogEvent event;
-        event.trace_id = i;
-        event.timestamp_ns = i;
-        events.record(event);
+        sink.record(rec);
     }
-    EXPECT_EQ(spans.size(), 4u);
-    EXPECT_EQ(spans.dropped(), 2u);
-    EXPECT_EQ(events.size(), 4u);
-    EXPECT_EQ(events.dropped(), 2u);
-    const std::vector<obs::Span> span_snap = spans.snapshot();
-    const std::vector<obs::LogEvent> event_snap = events.snapshot();
-    ASSERT_EQ(span_snap.size(), 4u);
-    ASSERT_EQ(event_snap.size(), 4u);
+    EXPECT_EQ(sink.size(), 4u);
+    EXPECT_EQ(sink.dropped(), 2u);
+    const std::vector<obs::Span> spans = sink.snapshot();
+    ASSERT_EQ(spans.size(), 4u);
     // Oldest-first: ids 3..6 survive.
-    EXPECT_EQ(span_snap.front().trace_id, 3u);
-    EXPECT_EQ(span_snap.back().trace_id, 6u);
-    EXPECT_EQ(event_snap.front().trace_id, 3u);
-    EXPECT_EQ(event_snap.back().trace_id, 6u);
-    spans.clear();
-    events.clear();
-    EXPECT_EQ(spans.size(), 0u);
-    EXPECT_EQ(events.size(), 0u);
-    EXPECT_EQ(events.dropped(), 0u);
+    EXPECT_EQ(spans.front().trace_id, 3u);
+    EXPECT_EQ(spans.back().trace_id, 6u);
+    sink.clear();
+    EXPECT_EQ(sink.size(), 0u);
 }
 
 TEST(Trace, ScopedSpansRecordOnlyUnderABinding)
@@ -354,6 +336,58 @@ TEST(Trace, WaterfallEdgeCases)
 // ---------------------------------------------------------------------------
 // Structured log sink
 // ---------------------------------------------------------------------------
+
+TEST(Log, SinkIsABoundedStripedRing)
+{
+    // LogSink is the BoundedRing TraceSink uses: the same overwrite,
+    // drop, and oldest-first rules hold for events as for spans. The
+    // per-thread stripes are gone; every thread shares the one ring,
+    // so concurrent writers still account for every event.
+    obs::LogSink sink(4);
+    EXPECT_EQ(sink.capacity(), 4u);
+    EXPECT_EQ(sink.size(), 0u);
+    for (uint64_t i = 1; i <= 6; ++i) {
+        obs::LogEvent event;
+        event.trace_id = i;
+        event.timestamp_ns = i;
+        std::snprintf(event.message, sizeof(event.message), "event %u",
+                      static_cast<unsigned>(i));
+        sink.record(event);
+    }
+    EXPECT_EQ(sink.size(), 4u);
+    EXPECT_EQ(sink.dropped(), 2u);
+    const std::vector<obs::LogEvent> events = sink.snapshot();
+    ASSERT_EQ(events.size(), 4u);
+    // Oldest-first: ids 3..6 survive, each with its own message.
+    EXPECT_EQ(events.front().trace_id, 3u);
+    EXPECT_STREQ(events.front().message, "event 3");
+    EXPECT_EQ(events.back().trace_id, 6u);
+    EXPECT_STREQ(events.back().message, "event 6");
+    sink.clear();
+    EXPECT_EQ(sink.size(), 0u);
+    EXPECT_EQ(sink.dropped(), 0u);
+
+    constexpr int kThreads = 4;
+    constexpr uint64_t kPerThread = 100;
+    std::vector<std::thread> writers;
+    for (int t = 0; t < kThreads; ++t) {
+        writers.emplace_back([&sink, t] {
+            for (uint64_t i = 0; i < kPerThread; ++i) {
+                obs::LogEvent event;
+                event.trace_id = static_cast<uint64_t>(t + 1);
+                sink.record(event);
+            }
+        });
+    }
+    for (std::thread &writer : writers)
+        writer.join();
+    EXPECT_EQ(sink.size(), 4u);
+    EXPECT_EQ(sink.size() + sink.dropped(), kThreads * kPerThread);
+    for (const obs::LogEvent &event : sink.snapshot()) {
+        EXPECT_GE(event.trace_id, 1u);
+        EXPECT_LE(event.trace_id, static_cast<uint64_t>(kThreads));
+    }
+}
 
 TEST(Log, EventsStampTimeTraceAndSeverityCounters)
 {
